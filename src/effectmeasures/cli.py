@@ -244,6 +244,11 @@ def _cmd_transport(args) -> int:
     return EXIT_OK
 
 
+def _json_number(value: float) -> float | None:
+    """``null`` for an undefined statistic: JSON has no NaN."""
+    return None if math.isnan(value) else value
+
+
 def _cmd_simulate(args) -> int:
     scenario = simbench.builtin_scenario(args.scenario)
     config = simbench.default_config(scenario)
@@ -264,11 +269,11 @@ def _cmd_simulate(args) -> int:
                 "strategy": s.config.strategy,
                 "covariates": list(s.config.covariates),
                 "ground_truth": s.ground_truth,
-                "median": s.median,
-                "q1": s.q1,
-                "q3": s.q3,
-                "mean": s.mean,
-                "sd": s.sd,
+                "median": _json_number(s.median),
+                "q1": _json_number(s.q1),
+                "q3": _json_number(s.q3),
+                "mean": _json_number(s.mean),
+                "sd": _json_number(s.sd),
                 "n_failed": s.n_failed,
             }
             for s in report.summaries

@@ -12,8 +12,11 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 from .errors import InvariantViolation, ParseError
 from .genmodel import (
@@ -30,7 +33,7 @@ from .measures import (
     MeasureValue,
 )
 from .strata import StratifiedDistribution, Stratum
-from .transport import CovariateRoles, TargetSample, TrialSample
+from .transport import CovariateRoles, TargetSample, TrialSample, stack_columns
 
 __all__ = [
     "load_strata",
@@ -58,11 +61,8 @@ def _fmt(value: float) -> str:
 
 
 def _read_rows(path) -> tuple[list[str], list[list[str]]]:
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError:
-        raise
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
     if not rows:
         raise ParseError(f"{path}: empty file, header expected")
     header = [h.strip() for h in rows[0]]
@@ -179,6 +179,48 @@ def save_strata(dist: StratifiedDistribution, path) -> None:
                 )
 
 
+def _columns(header: list[str], rows: list[list[str]]) -> list[list[str]]:
+    """The fields of ``rows`` column by column, once every row has as
+    many fields as the header."""
+    if set(map(len, rows)) - {len(header)}:
+        i = next(i for i, row in enumerate(rows, start=2) if len(row) != len(header))
+        raise ParseError(f"expected {len(header)} fields, got {len(rows[i - 2])}", row=i)
+    return [list(map(itemgetter(j), rows)) for j in range(len(header))]
+
+
+def _parse_column(texts: list[str], column: str, parse, expected: str) -> list:
+    """``parse`` applied to a column; the first field it rejects is reported
+    with its row."""
+    try:
+        return list(map(parse, texts))
+    except ValueError:
+        for i, text in enumerate(texts, start=2):
+            try:
+                parse(text)
+            except ValueError:
+                raise ParseError(f"expected {expected}, got {text!r}", row=i, column=column) from None
+        raise
+
+
+def _covariate_column(texts: list[str]):
+    """Covariate values by the rule of :func:`_parse_value`, tried on the
+    whole column first."""
+    try:
+        return np.fromiter(map(int, texts), np.int64, len(texts))
+    except OverflowError:  # beyond int64: exact Python ints, cell by cell
+        return [_parse_value(text) for text in texts]
+    except ValueError:
+        pass
+    try:
+        return np.fromiter(map(float, texts), np.float64, len(texts))
+    except ValueError:
+        return [_parse_value(text) for text in texts]
+
+
+def _covariate_rows(texts: list[list[str]], n: int):
+    return stack_columns([_covariate_column(t) for t in texts], n)
+
+
 def load_trial(path) -> TrialSample:
     """Trial CSV: covariate columns, then ``a`` and ``y``."""
     header, rows = _read_rows(path)
@@ -187,23 +229,21 @@ def load_trial(path) -> TrialSample:
     covariates = tuple(header[:-2])
     if not covariates:
         raise ParseError(f"{path}: trial needs at least one covariate column")
-    x, a, y = [], [], []
-    for i, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise ParseError(f"expected {len(header)} fields, got {len(row)}", row=i)
-        x.append(tuple(_parse_value(v) for v in row[:-2]))
-        ai = _parse_int(row[-2], i, "a")
-        if ai not in (0, 1):
-            raise InvariantViolation(f"{path}: row {i}: a must be 0 or 1, got {ai}")
-        a.append(ai)
-        y.append(_parse_float(row[-1], i, "y"))
-    return TrialSample(covariates, tuple(x), tuple(a), tuple(y))
+    texts = _columns(header, rows)
+    del rows
+    a = _parse_column(texts[-2], "a", int, "an integer")
+    if not set(a) <= {0, 1}:
+        i, ai = next((i, ai) for i, ai in enumerate(a, start=2) if ai not in (0, 1))
+        raise InvariantViolation(f"{path}: row {i}: a must be 0 or 1, got {ai}")
+    y = _parse_column(texts[-1], "y", float, "a number")
+    return TrialSample(covariates, _covariate_rows(texts[:-2], len(a)), a, y)
 
 
 def save_trial(trial: TrialSample, path) -> None:
+    columns = [c.tolist() for c in trial.columns] + [trial.a.tolist(), trial.y.tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(trial.covariates + ("a", "y")) + "\n")
-        for row, a, y in zip(trial.x, trial.a, trial.y):
+        for *row, a, y in zip(*columns):
             cells = [_cell_text(v) for v in row] + [str(a), _fmt(y)]
             fh.write(",".join(cells) + "\n")
 
@@ -225,30 +265,30 @@ def load_target(path) -> TargetSample:
     covariates = tuple(header[:-1]) if has_y0 else tuple(header)
     if not covariates:
         raise ParseError(f"{path}: target needs at least one covariate column")
-    x, y0 = [], []
-    for i, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise ParseError(f"expected {len(header)} fields, got {len(row)}", row=i)
-        if has_y0:
-            if row[-1] == NA:
-                raise InvariantViolation(
-                    f"{path}: row {i}: y0 must cover every row or the column must be absent"
-                )
-            y0.append(_parse_float(row[-1], i, "y0"))
-            row = row[:-1]
-        x.append(tuple(_parse_value(v) for v in row))
-    return TargetSample(covariates, tuple(x), tuple(y0) if has_y0 else None)
+    texts = _columns(header, rows)
+    n = len(rows)
+    del rows
+    y0 = None
+    if has_y0:
+        y0_texts = texts.pop()
+        missing = y0_texts.index(NA) if NA in y0_texts else n
+        y0 = _parse_column(y0_texts[:missing], "y0", float, "a number")
+        if missing < n:
+            raise InvariantViolation(
+                f"{path}: row {missing + 2}: y0 must cover every row or the column must be absent"
+            )
+    return TargetSample(covariates, _covariate_rows(texts, n), y0)
 
 
 def save_target(target: TargetSample, path) -> None:
     header = target.covariates + (("y0",) if target.y0 is not None else ())
+    columns = [c.tolist() for c in target.columns]
+    if target.y0 is not None:
+        columns.append([_fmt(v) for v in target.y0.tolist()])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i, row in enumerate(target.x):
-            cells = [_cell_text(v) for v in row]
-            if target.y0 is not None:
-                cells.append(_fmt(target.y0[i]))
-            fh.write(",".join(cells) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(map(_cell_text, row)) + "\n")
 
 
 _GRID_HEADER = "mu0,mu1,rd,rr,sr,err,rs,nnt,or,log_or"

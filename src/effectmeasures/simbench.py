@@ -159,16 +159,11 @@ class _ContinuousLinear(Scenario):
         a = rng.binomial(1, 0.5, n)
         eps = rng.normal(0.0, self._NOISE_SD, n)
         y = self._b(x) + a * self._m(x) + eps
-        return TrialSample(
-            self.covariates,
-            tuple(map(tuple, x.tolist())),
-            tuple(int(v) for v in a),
-            tuple(float(v) for v in y),
-        )
+        return TrialSample(self.covariates, x, a, y)
 
     def sample_target(self, rng: np.random.Generator, m: int) -> TargetSample:
         x = self._sample_x(rng, m, "target")
-        return TargetSample(self.covariates, tuple(map(tuple, x.tolist())))
+        return TargetSample(self.covariates, x)
 
     def _moments(self, population: str) -> tuple[float, float]:
         mu = self._MEANS[population]
@@ -248,36 +243,31 @@ class _RouletteHeterogeneous(Scenario):
             {c: self._m_b(*c) for c in cells},
             {c: 0.0 for c in cells},
         )
+        b = np.array([self._b(*c) for c in cells])
+        m_b = np.array([self._m_b(*c) for c in cells])
+        # outcome risk by (arm, cell): b + a (1 - b) m_b
+        self.risk = np.array([b + a * (1.0 - b) * m_b for a in (0, 1)])
 
     def _sample_x(self, rng: np.random.Generator, size: int, population: str) -> np.ndarray:
         rates = self._RATES[population]
         cols = [rng.binomial(1, rate, size) for rate in rates]
         return np.column_stack(cols)
 
-    def _risk(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-        b = np.array([self._b(*row) for row in x.tolist()])
-        m_b = np.array([self._m_b(*row) for row in x.tolist()])
-        return b + a * (1.0 - b) * m_b
+    @staticmethod
+    def _cell(x: np.ndarray) -> np.ndarray:
+        """Each row's index into ``_roulette_cells()``."""
+        return 4 * x[:, 0] + 2 * x[:, 1] + x[:, 2]
 
     def sample_trial(self, rng: np.random.Generator, n: int) -> TrialSample:
         x = self._sample_x(rng, n, "source")
         a = rng.binomial(1, 0.5, n)
-        y = rng.binomial(1, self._risk(x, a))
-        return TrialSample(
-            self.covariates,
-            tuple(tuple(int(v) for v in row) for row in x.tolist()),
-            tuple(int(v) for v in a),
-            tuple(float(v) for v in y),
-        )
+        y = rng.binomial(1, self.risk[a, self._cell(x)])
+        return TrialSample(self.covariates, x, a, y)
 
     def sample_target(self, rng: np.random.Generator, m: int) -> TargetSample:
         x = self._sample_x(rng, m, "target")
-        y0 = rng.binomial(1, self._risk(x, np.zeros(m, dtype=int)))
-        return TargetSample(
-            self.covariates,
-            tuple(tuple(int(v) for v in row) for row in x.tolist()),
-            tuple(float(v) for v in y0),
-        )
+        y0 = rng.binomial(1, self.risk[0, self._cell(x)])
+        return TargetSample(self.covariates, x, y0)
 
     def ground_truth(self, measure: MeasureKind, population: str = "target") -> float:
         for entry in population_measures_binary(self.model, self.space, population):
@@ -357,8 +347,12 @@ def _run_one(
     config: tuple[EstimatorConfig, ...],
 ) -> ReplicationResult:
     rng = _rep_rng(seed, rep_index)
-    trial = scenario.sample_trial(rng, n)
-    target = scenario.sample_target(rng, m)
+    try:
+        trial = scenario.sample_trial(rng, n)
+        target = scenario.sample_target(rng, m)
+    except EffectMeasureError as exc:
+        reason = f"{type(exc).__name__}: {exc}"
+        return ReplicationResult(rep_index, {}, {entry.key: reason for entry in config})
     learner = (
         Learner.LEAST_SQUARES
         if scenario.outcome is OutcomeKind.CONTINUOUS
@@ -410,8 +404,9 @@ def run_scenario(
     n = scenario.default_n if n is None else n
     m = scenario.default_m if m is None else m
     config = default_config(scenario) if config is None else tuple(config)
-    if reps < 1:
-        raise InvariantViolation("reps must be >= 1")
+    for name, value in (("reps", reps), ("n", n), ("m", m), ("workers", workers)):
+        if value < 1:
+            raise InvariantViolation(f"{name} must be >= 1, got {value}")
     _validate_config(scenario, config)
 
     if workers > 1:

@@ -55,6 +55,7 @@ __all__ = [
     "ipsw_conditional",
     "generalize_local",
     "least_squares_fit",
+    "stack_columns",
 ]
 
 
@@ -150,68 +151,188 @@ def plan_adjustment(
     )
 
 
-@dataclass(frozen=True)
-class TrialSample:
-    """Row-level source data: covariates, randomized arm, outcome."""
+def _frozen(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
-    covariates: tuple[str, ...]
-    x: tuple[tuple, ...]
-    a: tuple[int, ...]
-    y: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.x)
-        if len(self.a) != n or len(self.y) != n:
+def _check_finite(name: str, values: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise InvariantViolation(
+            f"{name} must be finite, got {values[bad[0]].item()!r} at row index {bad[0]}"
+        )
+
+
+def _is_number(kind: type) -> bool:
+    return issubclass(kind, (int, float, np.integer, np.floating)) and not issubclass(kind, bool)
+
+
+def _numeric(items: list) -> np.ndarray | None:
+    kinds = set(map(type, items))
+    if not kinds or not all(map(_is_number, kinds)):
+        return None
+    integral = all(issubclass(k, (int, np.integer)) for k in kinds)
+    try:
+        return np.array(items, dtype=np.int64 if integral else np.float64)
+    except OverflowError:  # integers beyond int64 stay exact, as objects
+        return None
+
+
+def _column(values) -> np.ndarray:
+    """One covariate column: int64 when every value is an integer,
+    float64 when every value is a real number, else the values as objects
+    (strings, or a mix)."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return values.astype(np.float64 if values.dtype.kind == "f" else np.int64, copy=False)
+    items = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    column = _numeric(items)
+    if column is None:
+        column = np.empty(len(items), dtype=object)
+        column[:] = items
+    return column
+
+
+def _columns(covariates: tuple[str, ...], x) -> tuple[np.ndarray, ...]:
+    """Validated covariate columns from row tuples or a 2-D array of rows."""
+    if isinstance(x, np.ndarray):
+        if x.ndim != 2 or x.shape[1] != len(covariates):
+            raise InvariantViolation("row arity differs from covariate list")
+        columns = x.T
+    else:
+        if any(len(row) != len(covariates) for row in x):
+            raise InvariantViolation("row arity differs from covariate list")
+        columns = zip(*x)
+    out = []
+    for name, values in zip(covariates, columns):
+        column = _column(values)
+        numbers = column if column.dtype != object else np.array(
+            [v for v in column if isinstance(v, (float, np.floating))], dtype=np.float64
+        )
+        _check_finite(f"covariate {name!r}", numbers)
+        out.append(_frozen(column))
+    return tuple(out)
+
+
+def stack_columns(columns: Sequence, n: int) -> np.ndarray:
+    """The ``n`` rows of covariate columns as one 2-D array: of the
+    columns' dtype when they share a numeric one, else of objects holding
+    each column's own values."""
+    columns = [_column(c) for c in columns]
+    dtypes = {c.dtype for c in columns}
+    if len(dtypes) == 1 and object not in dtypes:
+        return np.column_stack(columns)
+    rows = np.empty((n, len(columns)), dtype=object)
+    for j, column in enumerate(columns):
+        rows[:, j] = column
+    return rows
+
+
+def _same(p: np.ndarray | None, q: np.ndarray | None) -> bool:
+    if p is None or q is None:
+        return p is q
+    return np.array_equal(p, q)
+
+
+class _Sample:
+    """Covariate columns shared by trial and target samples.
+
+    ``x`` takes row tuples or a 2-D array of rows; each covariate is
+    stored as its own read-only column (see :func:`_column`). ``x`` reads
+    back the rows as a 2-D array, built on each access.
+    """
+
+    __slots__ = ("covariates", "columns", "n")
+
+    def __init__(self, covariates: Sequence[str], x) -> None:
+        self.covariates = tuple(covariates)
+        self.n = len(x)
+        if self.n == 0:
+            raise InvariantViolation(f"{type(self).__name__} needs at least one row")
+        self.columns = _columns(self.covariates, x)
+
+    @property
+    def x(self) -> np.ndarray:
+        return stack_columns(self.columns, self.n)
+
+    def column_indices(self, covariates: Sequence[str]) -> tuple[int, ...]:
+        try:
+            return tuple(self.covariates.index(c) for c in covariates)
+        except ValueError as exc:
+            raise InvariantViolation(str(exc)) from None
+
+    def _arrays(self) -> tuple:
+        return self.columns
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        mine, theirs = self._arrays(), other._arrays()
+        return (
+            self.covariates == other.covariates
+            and self.n == other.n
+            and all(_same(p, q) for p, q in zip(mine, theirs))
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(covariates={self.covariates!r}, n={self.n})"
+
+
+def _outcomes(name: str, values) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    _check_finite(name, values)
+    return _frozen(values)
+
+
+class TrialSample(_Sample):
+    """Row-level source data: covariates, randomized arm (``a``, int8),
+    outcome (``y``, float64)."""
+
+    __slots__ = ("a", "y")
+
+    def __init__(self, covariates: Sequence[str], x, a, y) -> None:
+        super().__init__(covariates, x)
+        a = np.asarray(a)
+        if a.shape != (self.n,) or np.shape(y) != (self.n,):
             raise InvariantViolation("x, a, y must have equal length")
-        if any(len(row) != len(self.covariates) for row in self.x):
-            raise InvariantViolation("row arity differs from covariate list")
-        if any(ai not in (0, 1) for ai in self.a):
+        if not ((a == 0) | (a == 1)).all():
             raise InvariantViolation("treatment indicator must be 0 or 1")
-        if 0 not in self.a or 1 not in self.a:
+        self.a = _frozen(a.astype(np.int8))
+        if self.a.all() or not self.a.any():
             raise SingularDesign("both treatment arms need observations")
+        self.y = _outcomes("y", y)
 
-    def column_indices(self, covariates: Sequence[str]) -> tuple[int, ...]:
-        try:
-            return tuple(self.covariates.index(c) for c in covariates)
-        except ValueError as exc:
-            raise InvariantViolation(str(exc)) from None
-
-    @property
-    def n(self) -> int:
-        return len(self.x)
+    def _arrays(self) -> tuple:
+        return self.columns + (self.a, self.y)
 
 
-@dataclass(frozen=True)
-class TargetSample:
-    """Row-level target data: covariates, optionally control outcomes."""
+class TargetSample(_Sample):
+    """Row-level target data: covariates, optionally control outcomes
+    (``y0``, float64)."""
 
-    covariates: tuple[str, ...]
-    x: tuple[tuple, ...]
-    y0: tuple[float, ...] | None = None
+    __slots__ = ("y0",)
 
-    def __post_init__(self) -> None:
-        if any(len(row) != len(self.covariates) for row in self.x):
-            raise InvariantViolation("row arity differs from covariate list")
-        if self.y0 is not None and len(self.y0) != len(self.x):
+    def __init__(self, covariates: Sequence[str], x, y0=None) -> None:
+        super().__init__(covariates, x)
+        if y0 is not None and np.shape(y0) != (self.n,):
             raise InvariantViolation("y0 must cover every row or be absent")
+        self.y0 = None if y0 is None else _outcomes("y0", y0)
 
-    def column_indices(self, covariates: Sequence[str]) -> tuple[int, ...]:
-        try:
-            return tuple(self.covariates.index(c) for c in covariates)
-        except ValueError as exc:
-            raise InvariantViolation(str(exc)) from None
-
-    @property
-    def n(self) -> int:
-        return len(self.x)
+    def _arrays(self) -> tuple:
+        return self.columns + (self.y0,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityRatio:
-    """Empirical target/source frequency ratio per covariate cell."""
+    """Empirical target/source frequency ratio per covariate cell, and
+    its value at each trial row (the IPSW weights)."""
 
     covariates: tuple[str, ...]
     ratios: dict[tuple, float]
+    at_trial_rows: np.ndarray
 
     def __call__(self, cell: tuple) -> float:
         return self.ratios.get(cell, 0.0)
@@ -227,62 +348,111 @@ class GeneralizedEstimate:
     n_target: int
 
 
-def _cells(rows: tuple[tuple, ...], idx: tuple[int, ...]):
-    return [tuple(row[i] for i in idx) for row in rows]
+def _code_column(source: np.ndarray, target: np.ndarray) -> tuple[int, np.ndarray]:
+    """Level count and per-row level codes of one covariate over trial
+    and target rows together; levels in sorted order where they compare."""
+    if source.dtype != object and target.dtype != object:
+        levels, inverse = np.unique(np.concatenate([source, target]), return_inverse=True)
+        return len(levels), inverse
+    values = source.tolist() + target.tolist()
+    levels = list(dict.fromkeys(values))
+    try:
+        levels.sort()
+    except TypeError:  # e.g. ints mixed with strings: first-seen order
+        pass
+    index = {value: k for k, value in enumerate(levels)}
+    return len(levels), np.fromiter(map(index.__getitem__, values), np.int64, len(values))
 
 
-def _frequencies(cells: list[tuple]) -> dict[tuple, float]:
-    counts: dict[tuple, int] = {}
-    for cell in cells:
-        counts[cell] = counts.get(cell, 0) + 1
-    n = len(cells)
-    return {cell: c / n for cell, c in counts.items()}
+class _Cells:
+    """Trial and target rows coded by covariate cell.
+
+    Codes run over ``0..size-1`` in the sorted order of the cell tuples
+    and mean the same cell in both samples. Each covariate is coded on
+    its own and the codes are combined in mixed radix; whenever the
+    radix product exceeds the row count, the codes are re-compacted, so
+    the product stays below the squared row count and never overflows
+    int64.
+    """
+
+    def __init__(self, trial: TrialSample, target: TargetSample, covariates: Sequence[str]):
+        self.trial_columns = [trial.columns[i] for i in trial.column_indices(covariates)]
+        self.target_columns = [target.columns[i] for i in target.column_indices(covariates)]
+        code = np.zeros(trial.n + target.n, dtype=np.int64)
+        size = 1
+        for source, tgt in zip(self.trial_columns, self.target_columns):
+            levels, inverse = _code_column(source, tgt)
+            code = code * levels + inverse
+            size *= levels
+            if size > len(code):
+                cells, code = np.unique(code, return_inverse=True)
+                size = len(cells)
+        self.size = size
+        self.trial, self.target = code[: trial.n], code[trial.n :]
+
+    def tuples(self, codes: np.ndarray, in_target: bool) -> list[tuple]:
+        """Plain cell tuples for ``codes``, read from the first trial (or
+        target) row in each cell."""
+        rows_codes, columns = (
+            (self.target, self.target_columns) if in_target else (self.trial, self.trial_columns)
+        )
+        present, first = np.unique(rows_codes, return_index=True)
+        rows = first[np.searchsorted(present, codes)]
+        if not columns:
+            return [()] * len(rows)
+        return list(zip(*(column[rows].tolist() for column in columns)))
+
+    def counts(self, codes: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+        return np.bincount(codes, weights=weights, minlength=self.size)
 
 
 def estimate_density_ratio(
     trial: TrialSample, target: TargetSample, covariates: Sequence[str]
 ) -> DensityRatio:
     """Ratio of empirical cell frequencies, p_T(x) / p_S(x)."""
-    src = _frequencies(_cells(trial.x, trial.column_indices(covariates)))
-    tgt = _frequencies(_cells(target.x, target.column_indices(covariates)))
-    unseen = sorted(cell for cell in tgt if cell not in src)
-    if unseen:
-        raise SupportViolation(unseen)
-    ratios = {cell: tgt.get(cell, 0.0) / p for cell, p in src.items()}
-    return DensityRatio(tuple(covariates), ratios)
+    cells = _Cells(trial, target, covariates)
+    src = cells.counts(cells.trial)
+    tgt = cells.counts(cells.target)
+    unseen = np.flatnonzero((tgt > 0) & (src == 0))
+    if unseen.size:
+        raise SupportViolation(cells.tuples(unseen, in_target=True))
+    seen = np.flatnonzero(src)
+    by_code = np.zeros(cells.size)
+    by_code[seen] = (tgt[seen] / target.n) / (src[seen] / trial.n)
+    ratios = dict(zip(cells.tuples(seen, in_target=False), by_code[seen].tolist()))
+    return DensityRatio(tuple(covariates), ratios, _frozen(by_code[cells.trial]))
 
 
 def _infer_kind(trial: TrialSample) -> OutcomeKind:
-    if all(v in (0.0, 1.0) for v in trial.y):
+    if ((trial.y == 0.0) | (trial.y == 1.0)).all():
         return OutcomeKind.BINARY
     return OutcomeKind.CONTINUOUS
 
 
 def _pair(mu0: float, mu1: float, kind: OutcomeKind) -> OutcomePair:
     try:
-        return OutcomePair(mu0, mu1, kind)
+        return OutcomePair(float(mu0), float(mu1), kind)
     except InvariantViolation as exc:
         raise UndefinedMeasure(f"estimated pair out of range: {exc}") from None
 
 
-def _arm_cell_means(
-    trial: TrialSample, idx: tuple[int, ...]
-) -> tuple[dict[tuple, float], dict[tuple, float]]:
-    """Per-cell outcome means for each arm; cells missing from an arm are
-    simply absent from its map."""
-    sums: dict[tuple, list[float]] = {}
-    cells = _cells(trial.x, idx)
-    for cell, a, y in zip(cells, trial.a, trial.y):
-        acc = sums.setdefault(cell, [0.0, 0, 0.0, 0])
-        if a == 1:
-            acc[0] += y
-            acc[1] += 1
-        else:
-            acc[2] += y
-            acc[3] += 1
-    mu1 = {c: s[0] / s[1] for c, s in sums.items() if s[1] > 0}
-    mu0 = {c: s[2] / s[3] for c, s in sums.items() if s[3] > 0}
-    return mu0, mu1
+def _arm_cell_means(trial: TrialSample, cells: _Cells) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell outcome means for each arm, indexed by cell code; NaN
+    where the arm has no row in the cell."""
+    means = []
+    for arm in (0, 1):
+        rows = trial.a == arm
+        count = cells.counts(cells.trial[rows])
+        total = cells.counts(cells.trial[rows], trial.y[rows])
+        means.append(np.divide(total, count, out=np.full(cells.size, np.nan), where=count > 0))
+    return means[0], means[1]
+
+
+def _check_support(cells: _Cells, codes: np.ndarray, mu0: np.ndarray, mu1: np.ndarray) -> None:
+    """``codes`` are target cells; each needs rows in both trial arms."""
+    missing = codes[np.isnan(mu0[codes]) | np.isnan(mu1[codes])]
+    if missing.size:
+        raise SupportViolation(cells.tuples(np.unique(missing), in_target=True))
 
 
 def least_squares_fit(x_rows: Sequence[Sequence[float]], y: Sequence[float]) -> np.ndarray:
@@ -295,22 +465,19 @@ def least_squares_fit(x_rows: Sequence[Sequence[float]], y: Sequence[float]) -> 
 
 
 def _ls_predictions(
-    trial: TrialSample,
-    target: TargetSample,
-    idx_src: tuple[int, ...],
-    idx_tgt: tuple[int, ...],
+    trial: TrialSample, target: TargetSample, covariates: Sequence[str]
 ) -> tuple[float, float]:
     """Per-arm OLS fits on the trial, averaged over target rows."""
+    source = [trial.columns[i] for i in trial.column_indices(covariates)]
+    # a C-contiguous design keeps the BLAS product, and so the mean, bit-stable
     tgt = np.column_stack(
-        [np.ones(target.n), np.asarray([[row[i] for i in idx_tgt] for row in target.x], float)]
-    )
+        [np.ones(target.n)] + [target.columns[i] for i in target.column_indices(covariates)]
+    ).astype(float)
     means = []
     for arm in (0, 1):
-        rows = [
-            [trial.x[j][i] for i in idx_src] for j in range(trial.n) if trial.a[j] == arm
-        ]
-        ys = [trial.y[j] for j in range(trial.n) if trial.a[j] == arm]
-        coef = least_squares_fit(rows, ys)
+        rows = trial.a == arm
+        x_rows = stack_columns([column[rows] for column in source], int(rows.sum()))
+        coef = least_squares_fit(x_rows, trial.y[rows])
         means.append(float((tgt @ coef).mean()))
     return means[0], means[1]
 
@@ -324,20 +491,15 @@ def gformula_conditional(
 ) -> GeneralizedEstimate:
     """Plug-in g-formula: fit per-arm conditional means on the trial,
     average them over the target covariate rows, contrast."""
-    idx_src = trial.column_indices(covariates)
-    idx_tgt = target.column_indices(covariates)
     if learner is Learner.CELL_MEANS:
-        mu0_by_cell, mu1_by_cell = _arm_cell_means(trial, idx_src)
-        tgt_cells = _cells(target.x, idx_tgt)
-        missing = sorted(
-            {c for c in tgt_cells if c not in mu0_by_cell or c not in mu1_by_cell}
-        )
-        if missing:
-            raise SupportViolation(missing)
-        mu0 = math.fsum(mu0_by_cell[c] for c in tgt_cells) / len(tgt_cells)
-        mu1 = math.fsum(mu1_by_cell[c] for c in tgt_cells) / len(tgt_cells)
+        cells = _Cells(trial, target, covariates)
+        mu0_by_cell, mu1_by_cell = _arm_cell_means(trial, cells)
+        _check_support(cells, cells.target, mu0_by_cell, mu1_by_cell)
+        # fsum is exact, so the per-row order of the gathered means is immaterial
+        mu0 = math.fsum(mu0_by_cell[cells.target].tolist()) / target.n
+        mu1 = math.fsum(mu1_by_cell[cells.target].tolist()) / target.n
     else:
-        mu0, mu1 = _ls_predictions(trial, target, idx_src, idx_tgt)
+        mu0, mu1 = _ls_predictions(trial, target, covariates)
     pair = _pair(mu0, mu1, _infer_kind(trial))
     value = compute_measure(measure, pair).value
     return GeneralizedEstimate(
@@ -355,13 +517,9 @@ def ipsw_conditional(
     density ratios and arm-normalized weights:
     (1/n_a) * sum over arm a of r(X_i) * Y_i."""
     ratio = estimate_density_ratio(trial, target, covariates)
-    idx = trial.column_indices(covariates)
-    cells = _cells(trial.x, idx)
-    sums = [0.0, 0.0]
-    counts = [0, 0]
-    for cell, a, y in zip(cells, trial.a, trial.y):
-        sums[a] += ratio(cell) * y
-        counts[a] += 1
+    # bincount adds in row order, as a running sum over the rows would
+    sums = np.bincount(trial.a, weights=ratio.at_trial_rows * trial.y, minlength=2)
+    counts = np.bincount(trial.a, minlength=2)
     pair = _pair(sums[0] / counts[0], sums[1] / counts[1], _infer_kind(trial))
     value = compute_measure(measure, pair).value
     return GeneralizedEstimate(
@@ -392,9 +550,7 @@ def generalize_local(
             raise UndefinedMeasure(
                 "least-squares local effects are supported for RD only"
             )
-        idx_src = trial.column_indices(covariates)
-        idx_tgt = target.column_indices(covariates)
-        mu0, mu1 = _ls_predictions(trial, target, idx_src, idx_tgt)
+        mu0, mu1 = _ls_predictions(trial, target, covariates)
         value = mu1 - mu0
         return GeneralizedEstimate(
             measure, Strategy.LOCAL_EFFECT, value, tuple(covariates), trial.n, target.n
@@ -405,40 +561,31 @@ def generalize_local(
         raise MissingTargetControlOutcome(
             f"{measure.value} weights need control outcomes in the target sample"
         )
-    idx_src = trial.column_indices(covariates)
-    idx_tgt = target.column_indices(covariates)
-    mu0_by_cell, mu1_by_cell = _arm_cell_means(trial, idx_src)
-    tgt_cells = _cells(target.x, idx_tgt)
-    proportions = _frequencies(tgt_cells)
-    missing = sorted(
-        {c for c in proportions if c not in mu0_by_cell or c not in mu1_by_cell}
-    )
-    if missing:
-        raise SupportViolation(missing)
+    cells = _Cells(trial, target, covariates)
+    mu0_by_cell, mu1_by_cell = _arm_cell_means(trial, cells)
+    count = cells.counts(cells.target)
+    present = np.flatnonzero(count)
+    _check_support(cells, present, mu0_by_cell, mu1_by_cell)
 
     kind = _infer_kind(trial)
-    local = {
-        c: compute_measure(measure, _pair(mu0_by_cell[c], mu1_by_cell[c], kind)).value
-        for c in proportions
-    }
+    local = np.array([
+        compute_measure(measure, _pair(mu0_by_cell[c], mu1_by_cell[c], kind)).value
+        for c in present
+    ])
+    proportions = count[present] / target.n
     if measure is MeasureKind.RD:
         weights = proportions
     else:
-        y0_sum: dict[tuple, list[float]] = {}
-        for cell, y0 in zip(tgt_cells, target.y0):
-            acc = y0_sum.setdefault(cell, [0.0, 0])
-            acc[0] += y0
-            acc[1] += 1
-        y0_mean = {c: s[0] / s[1] for c, s in y0_sum.items()}
+        y0_mean = cells.counts(cells.target, target.y0)[present] / count[present]
         if measure in (MeasureKind.RR, MeasureKind.ERR):
-            raw = {c: proportions[c] * y0_mean[c] for c in proportions}
+            raw = proportions * y0_mean
         else:
-            raw = {c: proportions[c] * (1.0 - y0_mean[c]) for c in proportions}
-        total = math.fsum(raw.values())
+            raw = proportions * (1.0 - y0_mean)
+        total = math.fsum(raw.tolist())
         if total == 0.0:
             raise UndefinedMeasure("degenerate target control outcomes: all weights zero")
-        weights = {c: w / total for c, w in raw.items()}
-    value = math.fsum(weights[c] * local[c] for c in proportions)
+        weights = raw / total
+    value = math.fsum((weights * local).tolist())
     return GeneralizedEstimate(
         measure, Strategy.LOCAL_EFFECT, value, tuple(covariates), trial.n, target.n
     )

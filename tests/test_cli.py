@@ -294,6 +294,40 @@ class TestTransport:
         assert code == EXIT_SEMANTICS
         assert "MissingTargetControlOutcome" in err
 
+    @pytest.mark.parametrize(
+        "trial_text, target_text",
+        [
+            ("x,a,y\n0,0,1\n0,1,nan\n", "x\n0\n"),
+            ("x,a,y\n0,0,1\ninf,1,0\n", "x\n0\n"),
+            ("x,a,y\n0,0,1\n0,1,0\n", "x,y0\n0,nan\n"),
+        ],
+        ids=["nan-y", "inf-covariate", "nan-y0"],
+    )
+    def test_non_finite_input_is_validation_error(
+        self, capsys, tmp_path, trial_text, target_text
+    ):
+        trial, target = tmp_path / "trial.csv", tmp_path / "target.csv"
+        trial.write_text(trial_text)
+        target.write_text(target_text)
+        code, err = self.estimate(capsys, str(trial), str(target), "rd", "gformula")
+        assert code == EXIT_VALIDATION
+        assert "InvariantViolation" in err and "finite" in err
+
+    @pytest.mark.parametrize("strategy", ["gformula", "ipsw"])
+    def test_header_only_target_is_validation_error(
+        self, capsys, toy_files, tmp_path, strategy
+    ):
+        trial_path, _ = toy_files
+        empty = tmp_path / "empty.csv"
+        empty.write_text("x,y0\n")
+        code, err = self.estimate(capsys, trial_path, str(empty), "rd", strategy)
+        assert code == EXIT_VALIDATION
+        assert "InvariantViolation" in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
 
 class TestSimulate:
     def test_tiny_run_writes_report(self, capsys, tmp_path):
@@ -342,6 +376,51 @@ class TestSimulate:
         )
         for s in summaries:
             assert s["n_failed"] == 0
+
+    @pytest.mark.parametrize(
+        "size", [["--n", "-5"], ["--m", "0"], ["--workers", "0"], ["--reps", "0"]]
+    )
+    def test_sizes_below_one_are_validation_errors(self, capsys, tmp_path, size):
+        code, _, err = run(
+            capsys,
+            [
+                "simulate", "--scenario", "roulette-heterogeneous", "--reps", "1",
+                "--n", "50", "--m", "50", *size, "--out", str(tmp_path / "r.csv"),
+            ],
+        )
+        assert code == EXIT_VALIDATION
+        assert "InvariantViolation" in err
+
+    def test_failed_sampling_is_counted_per_replication(self, capsys, tmp_path):
+        # a one-row trial never has both arms: every replication's sampler fails
+        out_path = tmp_path / "r.csv"
+        code, out, _ = run(
+            capsys,
+            [
+                "simulate", "--scenario", "continuous-linear", "--n", "1", "--m", "5",
+                "--reps", "3", "--out", str(out_path), "--json",
+            ],
+        )
+        assert code == EXIT_OK
+        summaries = json.loads(out, parse_constant=_reject_constant)
+        assert all(s["n_failed"] == 3 and s["median"] is None for s in summaries)
+        rows = out_path.read_text().splitlines()[1:]
+        assert len(rows) == 3 * len(summaries)
+        assert all(row.split(",")[5] == "NA" for row in rows)
+
+    def test_json_is_strict_for_a_single_replication(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys,
+            [
+                "simulate", "--scenario", "roulette-heterogeneous", "--seed", "7",
+                "--reps", "1", "--n", "200", "--m", "200",
+                "--out", str(tmp_path / "r.csv"), "--json",
+            ],
+        )
+        assert code == EXIT_OK
+        summaries = json.loads(out, parse_constant=_reject_constant)
+        assert all(s["sd"] is None for s in summaries)
+        assert all(isinstance(s["median"], float) for s in summaries)
 
     def test_unknown_scenario(self, capsys, tmp_path):
         code, _, err = run(

@@ -149,6 +149,29 @@ class TestTrialIO:
             dataio.load_trial(path)
 
 
+    @pytest.mark.parametrize(
+        "text, row, column",
+        [
+            ("x,a,y\n0,0,1.0\n0,1,one\n", 3, "y"),
+            ("x,a,y\n0,0,1.0\n0,b,1.0\n", 3, "a"),
+            ("x,a,y\n0,0,1.0\n0,1\n", 3, None),
+        ],
+    )
+    def test_parse_errors_name_row_and_column(self, tmp_path, text, row, column):
+        path = tmp_path / "trial.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as excinfo:
+            dataio.load_trial(path)
+        assert (excinfo.value.row, excinfo.value.column) == (row, column)
+
+    def test_covariate_values_int_else_float_else_string(self, tmp_path):
+        path = tmp_path / "trial.csv"
+        path.write_text("i,u,s,a,y\n1,1,1,0,0\n2,2.5,b,1,1\n")
+        trial = dataio.load_trial(path)
+        assert trial.x.tolist() == [[1, 1.0, 1], [2, 2.5, "b"]]
+        assert [type(v) for v in trial.x[1].tolist()] == [int, float, str]
+
+
 class TestTargetIO:
     def test_roundtrip_with_control_outcomes(self, tmp_path):
         target = TargetSample(("x",), ((0,), (1,), (1,)), (0.0, 1.0, 0.0))
@@ -164,6 +187,13 @@ class TestTargetIO:
         loaded = dataio.load_target(path)
         assert loaded == target
         assert loaded.y0 is None
+
+    def test_first_bad_control_outcome_is_reported(self, tmp_path):
+        path = tmp_path / "target.csv"
+        path.write_text("x,y0\n0,one\n1,NA\n")
+        with pytest.raises(ParseError) as excinfo:
+            dataio.load_target(path)
+        assert (excinfo.value.row, excinfo.value.column) == (2, "y0")
 
     def test_partial_control_outcomes_rejected(self, tmp_path):
         path = tmp_path / "target.csv"

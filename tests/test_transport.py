@@ -1,9 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import loop_reference
 from effectmeasures.errors import (
+    EffectMeasureError,
     InvariantViolation,
     MissingTargetControlOutcome,
     NonCollapsible,
@@ -412,3 +417,110 @@ class TestFailureModes:
         target = TargetSample(("x",), ((0,),))
         with pytest.raises(UndefinedMeasure):
             gformula_conditional(trial, target, MeasureKind.OR, ("x",))
+
+
+def _outcome(estimate):
+    """An estimate's value, or the type of the error it raised."""
+    try:
+        value = estimate()
+    except EffectMeasureError as exc:
+        return type(exc)
+    return getattr(value, "value", value)
+
+
+class TestLoopReference:
+    """The columnar estimators against the per-row loops they replaced
+    (``loop_reference``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), binary=st.booleans())
+    def test_estimators_match_the_loop_reference(self, seed, binary):
+        rng = random.Random(seed)
+        trial, target = random_trial_and_target(rng, binary)
+        y0 = [float(rng.random() < 0.4) for _ in range(target.n)]
+        target = TargetSample(target.covariates, target.x, y0)
+        for covariates in (("i", "tag"), ("tag",), ("i",)):
+            for measure in MeasureKind:
+                args = (trial, target, measure, covariates)
+                # fsum over the gathered per-row cell means is order-free: exact
+                assert _outcome(lambda: gformula_conditional(*args)) == _outcome(
+                    lambda: loop_reference.gformula(*args)
+                )
+                assert _outcome(lambda: generalize_local(*args)) == _outcome(
+                    lambda: loop_reference.local(*args)
+                )
+                got = _outcome(lambda: ipsw_conditional(*args))
+                want = _outcome(lambda: loop_reference.ipsw(*args))
+                if isinstance(want, float):
+                    assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (got, want)
+                else:
+                    assert got is want
+
+    def test_support_violation_lists_plain_tuples(self):
+        trial, _ = random_trial_and_target(random.Random(5))
+        unseen = (int(trial.columns[0].max()) + 1, "w")
+        target = TargetSample(("i", "tag"), (unseen, tuple(trial.x[0].tolist())))
+        for new, old in (
+            (gformula_conditional, loop_reference.gformula),
+            (ipsw_conditional, loop_reference.ipsw),
+            (generalize_local, loop_reference.local),
+        ):
+            with pytest.raises(SupportViolation) as excinfo:
+                new(trial, target, MeasureKind.RD, ("i", "tag"))
+            with pytest.raises(SupportViolation) as reference:
+                old(trial, target, MeasureKind.RD, ("i", "tag"))
+            assert excinfo.value.cells == reference.value.cells == (unseen,)
+            assert type(excinfo.value.cells[0][0]) is int
+            assert str(excinfo.value) == str(reference.value)
+
+    def test_cell_coding_does_not_overflow(self):
+        # four columns of 100,000 distinct floats: the product of the level
+        # counts, 1e20, is beyond int64
+        k = 100_000
+        rng = np.random.default_rng(0)
+        names = ("c1", "c2", "c3", "c4")
+        cells = np.column_stack([rng.permutation(k) * 0.5 + j for j in range(4)])
+        effect = rng.standard_normal(k)
+        trial = TrialSample(
+            names,
+            np.concatenate([cells, cells]),
+            np.repeat([0, 1], k),
+            np.concatenate([np.zeros(k), effect]),
+        )
+        est = gformula_conditional(trial, TargetSample(names, cells), MeasureKind.RD, names)
+        assert est.value == math.fsum(effect.tolist()) / k
+        # every value of this row is in the trial, but not the combination
+        recombined = tuple(cells[j, j] for j in range(4))
+        with pytest.raises(SupportViolation) as excinfo:
+            gformula_conditional(
+                trial, TargetSample(names, (recombined,)), MeasureKind.RD, names
+            )
+        assert excinfo.value.cells == (recombined,)
+
+
+class TestColumnarSamples:
+    def test_columns_keep_their_types(self):
+        trial = TrialSample(
+            ("i", "tag", "u"), ((0, "u", 0.5), (1, "v", 2)), (0, 1), (0.0, 1.0)
+        )
+        assert [c.dtype.kind for c in trial.columns] == ["i", "O", "f"]
+        assert trial.a.dtype == np.int8 and trial.y.dtype == np.float64
+        assert trial.x.tolist() == [[0, "u", 0.5], [1, "v", 2.0]]
+        assert TrialSample(trial.covariates, trial.x, trial.a, trial.y) == trial
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(InvariantViolation):
+            TrialSample(("x",), ((0,), (1,)), (0, 1), (0.0, bad))
+        with pytest.raises(InvariantViolation):
+            TrialSample(("x",), ((bad,), (1.0,)), (0, 1), (0.0, 1.0))
+        with pytest.raises(InvariantViolation):
+            TargetSample(("x", "tag"), ((bad, "u"),))
+        with pytest.raises(InvariantViolation):
+            TargetSample(("x",), ((0,),), (bad,))
+
+    def test_zero_rows_rejected(self):
+        with pytest.raises(InvariantViolation):
+            TargetSample(("x",), ())
+        with pytest.raises(InvariantViolation):
+            TrialSample(("x",), np.zeros((0, 1)), (), ())
