@@ -146,6 +146,8 @@ def _cmd_collapse(args) -> int:
     try:
         weights = collapsibility_weights(measure, dist)
     except NonCollapsible:
+        weights = None
+    if weights is None:
         signed = naive_average(measure, dist)
         magnitude = math.fsum(
             s.proportion * abs(compute_measure(measure, s.pair).value)
@@ -168,40 +170,31 @@ def _cmd_collapse(args) -> int:
             "naive_average": signed,
             "naive_magnitude_average": magnitude,
         }
-        if args.check_logic:
-            report = check_logic_respecting(measure, dist)
-            record["logic_respecting"] = report.respected
-            record["stratum_range"] = [report.low, report.high]
-        if args.json:
-            print(json.dumps(record))
-        else:
-            print(f"marginal  {record['marginal']:.6g}")
-            print(f"naive     {signed:.6g} (magnitudes: {magnitude:.6g})")
-            if args.check_logic:
-                print(f"logic_respecting: {str(record['logic_respecting']).lower()}")
-        return EXIT_SEMANTICS
-    collapsed = collapse(measure, dist)
-    marginal = compute_measure(measure, marginal_pair(dist))
-    record = {
-        "measure": measure.value,
-        "weights": {s.label: w for s, w in zip(dist.strata, weights.weights)},
-        "collapsed": collapsed.value,
-        "marginal": marginal.value,
-    }
+    else:
+        collapsed = collapse(measure, dist)
+        record = {
+            "measure": measure.value,
+            "weights": {s.label: w for s, w in zip(dist.strata, weights.weights)},
+            "collapsed": collapsed.value,
+            "marginal": compute_measure(measure, marginal_pair(dist)).value,
+        }
     if args.check_logic:
         report = check_logic_respecting(measure, dist)
         record["logic_respecting"] = report.respected
         record["stratum_range"] = [report.low, report.high]
     if args.json:
         print(json.dumps(record))
+    elif weights is None:
+        print(f"marginal  {record['marginal']:.6g}")
+        print(f"naive     {signed:.6g} (magnitudes: {magnitude:.6g})")
     else:
         for label, w in record["weights"].items():
             print(f"weight {label:<16}{w:.6f}")
         print(f"collapsed {record['collapsed']:.6g}")
         print(f"marginal  {record['marginal']:.6g}")
-        if args.check_logic:
-            print(f"logic_respecting: {str(record['logic_respecting']).lower()}")
-    return EXIT_OK
+    if args.check_logic and not args.json:
+        print(f"logic_respecting: {str(record['logic_respecting']).lower()}")
+    return EXIT_SEMANTICS if weights is None else EXIT_OK
 
 
 def _cmd_plan(args) -> int:

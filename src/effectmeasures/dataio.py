@@ -13,8 +13,6 @@ import csv
 import json
 import logging
 from operator import itemgetter
-from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -25,13 +23,8 @@ from .genmodel import (
     EntanglementModel,
     LogitOutcomeModel,
 )
-from .measures import (
-    MeasureKind,
-    OutcomeKind,
-    OutcomePair,
-    all_measures,
-    MeasureValue,
-)
+from .measures import MeasureKind, OutcomeKind, OutcomePair, measure_table
+from .measures import all_measures  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .strata import StratifiedDistribution, Stratum
 from .transport import CovariateRoles, TargetSample, TrialSample, stack_columns
 
@@ -291,41 +284,26 @@ def save_target(target: TargetSample, path) -> None:
             fh.write(",".join(map(_cell_text, row)) + "\n")
 
 
-_GRID_HEADER = "mu0,mu1,rd,rr,sr,err,rs,nnt,or,log_or"
-_GRID_ORDER = [
-    MeasureKind.RD,
-    MeasureKind.RR,
-    MeasureKind.SR,
-    MeasureKind.ERR,
-    MeasureKind.RS,
-    MeasureKind.NNT,
-    MeasureKind.OR,
-    MeasureKind.LOG_OR,
-]
-
-
 def emit_grid(resolution: int, path) -> None:
     """All eight measures over the interior lattice of the unit square.
 
     Points are k/(resolution+1) for k = 1..resolution on each axis;
-    undefined cells carry the literal ``NA``.
+    undefined cells carry the literal ``NA``. The lattice is computed and
+    written one mu0 row at a time, so memory stays flat in ``resolution``.
     """
     if resolution < 2:
         raise InvariantViolation("resolution must be >= 2")
-    step = 1.0 / (resolution + 1)
+    axis = np.arange(1, resolution + 1) * (1.0 / (resolution + 1))
+    axis_text = list(map(_fmt, axis.tolist()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_GRID_HEADER + "\n")
-        for i in range(1, resolution + 1):
-            mu0 = i * step
-            for j in range(1, resolution + 1):
-                mu1 = j * step
-                pair = OutcomePair(mu0, mu1, OutcomeKind.BINARY)
-                by_kind = {entry.measure: entry for entry in all_measures(pair)}
-                cells = [_fmt(mu0), _fmt(mu1)]
-                for measure in _GRID_ORDER:
-                    entry = by_kind[measure]
-                    cells.append(_fmt(entry.value) if isinstance(entry, MeasureValue) else NA)
-                fh.write(",".join(cells) + "\n")
+        fh.write(",".join(["mu0", "mu1"] + [m.value for m in MeasureKind]) + "\n")
+        for mu0, mu0_text in zip(axis.tolist(), axis_text):
+            table = measure_table(np.full(resolution, mu0), axis, OutcomeKind.BINARY)
+            columns = [[mu0_text] * resolution, axis_text]
+            columns += [map(_fmt, values.tolist()) for values, _ in table.values()]
+            rows = "\n".join(map(",".join, zip(*columns)))
+            # undefined values are NaN, and no other float's repr contains "nan"
+            fh.write(rows.replace("nan", NA) + "\n")
 
 
 def _cells_from_json(raw) -> tuple[tuple, ...]:

@@ -27,12 +27,14 @@ from .errors import (
     UnknownCell,
 )
 from .measures import (
+    NOT_INTERIOR,
+    NULL_EFFECT,
+    UNDEFINED_REASONS,
     MeasureKind,
     MeasureValue,
     OutcomeKind,
     OutcomePair,
     UndefinedAnnotation,
-    compute_measure,
 )
 
 __all__ = [
@@ -107,12 +109,6 @@ class DiscreteCovariateSpace:
     def expectation(self, population: str, f) -> float:
         probs = self.probabilities(population)
         return math.fsum(p * f(cell) for p, cell in zip(probs, self.cells))
-
-
-def _require_total(name: str, fn: Mapping[Cell, float], cells: tuple[Cell, ...]) -> None:
-    missing = [c for c in cells if c not in fn]
-    if missing:
-        raise InvariantViolation(f"{name} is not defined on cells {missing!r}")
 
 
 @dataclass(frozen=True)
@@ -263,14 +259,12 @@ def population_measures_binary(
         MeasureValue(MeasureKind.RS, gain / (1.0 - e_b) - loss / (1.0 - e_b), 0.0),
     ]
     if rd == 0.0:
-        out.append(
-            UndefinedAnnotation(MeasureKind.NNT, "NNT diverges at a null effect (mu1 == mu0)")
-        )
+        out.append(UndefinedAnnotation(MeasureKind.NNT, UNDEFINED_REASONS[NULL_EFFECT]))
     else:
         out.append(MeasureValue(MeasureKind.NNT, 1.0 / rd, math.inf))
     p1 = e_b + rd
     if not 0.0 < p1 < 1.0:
-        reason = "OR requires both probabilities strictly inside (0, 1)"
+        reason = UNDEFINED_REASONS[NOT_INTERIOR]
         out.append(UndefinedAnnotation(MeasureKind.OR, reason))
         out.append(UndefinedAnnotation(MeasureKind.LOG_OR, reason))
     else:
@@ -375,9 +369,7 @@ def logit_population_measures(
         MeasureValue(MeasureKind.RS, 1.0 - e_s1 / e_s0, 0.0),
     ]
     if e_p1 == e_p0:
-        out.append(
-            UndefinedAnnotation(MeasureKind.NNT, "NNT diverges at a null effect (mu1 == mu0)")
-        )
+        out.append(UndefinedAnnotation(MeasureKind.NNT, UNDEFINED_REASONS[NULL_EFFECT]))
     else:
         out.append(MeasureValue(MeasureKind.NNT, 1.0 / (e_p1 - e_p0), math.inf))
     odds_ratio = (e_p1 / e_s1) * (e_s0 / e_p0)

@@ -1,10 +1,10 @@
 """Effect measures as total-or-error functions of an outcome pair.
 
 A measure contrasts the two counterfactual population summaries
-mu0 = E[Y(0)] and mu1 = E[Y(1)]. All eight measures are defined here as
-closed forms; inputs outside a measure's domain raise
-:class:`~effectmeasures.errors.UndefinedMeasure` rather than producing
-NaN or infinities.
+mu0 = E[Y(0)] and mu1 = E[Y(1)]. One array kernel, :func:`measure_table`,
+computes all eight closed forms and marks each value outside a measure's
+domain with a code instead of producing NaN or infinities; the scalar
+functions are views over it.
 """
 
 from __future__ import annotations
@@ -12,6 +12,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
 
 from .errors import InvariantViolation, UndefinedMeasure
 
@@ -21,7 +24,11 @@ __all__ = [
     "MeasureKind",
     "MeasureValue",
     "UndefinedAnnotation",
+    "UNDEFINED_REASONS",
     "BINARY_ONLY_MEASURES",
+    "measure_table",
+    "measure_values",
+    "pair_arrays",
     "compute_measure",
     "all_measures",
     "swap_labels",
@@ -117,81 +124,114 @@ class UndefinedAnnotation:
     reason: str
 
 
-def _survival(pair: OutcomePair) -> tuple[float, float]:
-    """(1 - mu0, 1 - mu1), exact for a pair made by relabelling."""
-    if pair.nonevent is not None:
-        return pair.nonevent
-    return 1.0 - pair.mu0, 1.0 - pair.mu1
+# Codes of measure_table's undefined values; 0 marks a defined value.
+NULL_EFFECT, ZERO_CONTROL, CERTAIN_CONTROL, NOT_INTERIOR, NOT_FINITE = range(1, 6)
+
+#: Why a value is undefined, indexed by its code.
+UNDEFINED_REASONS = (
+    None,
+    "NNT diverges at a null effect (mu1 == mu0)",
+    "RR requires mu0 != 0",
+    "SR requires mu0 != 1",
+    "OR requires both probabilities strictly inside (0, 1)",
+    # the closed form overflows, or an OR that underflowed to 0 has no log
+    "{measure} is not finite for {pair}",
+)
+
+
+def measure_table(mu0, mu1, kind: OutcomeKind, nonevent=None) -> dict[MeasureKind, tuple]:
+    """Every measure applicable to ``kind``, in catalogue order, over the
+    pairs (mu0[i], mu1[i]) of two 1-D float arrays: for each, its values
+    (NaN where undefined) and a code per pair that indexes
+    :data:`UNDEFINED_REASONS` (0 where defined).
+
+    ``nonevent``, if given, is two more such arrays: the exact non-event
+    probabilities that pairs made by :func:`swap_labels` keep (see
+    :class:`OutcomePair`), NaN for a pair without them. The first pair
+    that breaks OutcomePair's invariants raises its InvariantViolation.
+    NNT is the signed reciprocal 1/RD (negative when treatment lowers the
+    event probability). For continuous outcomes RR/ERR only need mu0 != 0:
+    the caller owns the outcome's sign, which two summaries cannot show.
+    """
+    mu0, mu1 = np.asarray(mu0, dtype=np.float64), np.asarray(mu1, dtype=np.float64)
+    if nonevent is None:
+        nonevent = np.full((2,) + mu0.shape, np.nan)
+    ne0, ne1 = np.asarray(nonevent, dtype=np.float64)
+    binary = kind is OutcomeKind.BINARY
+    exact = ~(np.isnan(ne0) & np.isnan(ne1))
+    ok = np.isfinite(mu0) & np.isfinite(mu1)
+    if binary:
+        ok &= (0.0 <= mu0) & (mu0 <= 1.0) & (0.0 <= mu1) & (mu1 <= 1.0)
+    ok &= ~exact | (binary & (1.0 - ne0 == mu0) & (1.0 - ne1 == mu1)
+                    & (0.0 <= ne0) & (ne0 <= 1.0) & (0.0 <= ne1) & (ne1 <= 1.0))
+    bad = np.flatnonzero(~ok)
+    if bad.size:  # OutcomePair words the error
+        i = bad[0]
+        OutcomePair(mu0[i].item(), mu1[i].item(), kind,
+                    (ne0[i].item(), ne1[i].item()) if exact[i] else None)
+    # x/0 and 0/0 are marked undefined below, so their warnings are noise
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s0, s1 = np.where(exact, ne0, 1.0 - mu0), np.where(exact, ne1, 1.0 - mu1)
+        # the difference on the exactly stored side: relabelling negates it exactly
+        rd = np.where(exact, ne0 - ne1, mu1 - mu0)
+        rr, sr, odds = mu1 / mu0, s1 / s0, (mu1 / s1) / (mu0 / s0)
+        # one row per measure in catalogue order; log-OR is taken from OR below
+        values = np.array([rd, rr, sr, rr - 1.0, 1.0 - sr, 1.0 / rd, odds, odds])
+    zero, certain = (mu0 == 0.0) * ZERO_CONTROL, (s0 == 0.0) * CERTAIN_CONTROL
+    boundary = ((mu0 == 0.0) | (mu1 == 0.0) | (s0 == 0.0) | (s1 == 0.0)) * NOT_INTERIOR
+    singular = np.array([0 * zero, zero, certain, zero, certain,
+                         (rd == 0.0) * NULL_EFFECT, boundary, boundary])
+    undefined = np.where(singular != 0, singular, ~np.isfinite(values) * NOT_FINITE)
+    # math.log is correctly rounded, where np.log can be one ulp off
+    log, code = values[-1], undefined[-1]
+    code[(code == 0) & ~(log > 0.0)] = NOT_FINITE
+    log[code == 0] = list(map(math.log, log[code == 0].tolist()))
+    values[undefined != 0] = np.nan
+    return {
+        m: (values[i], undefined[i])
+        for i, m in enumerate(MeasureKind)
+        if binary or m not in BINARY_ONLY_MEASURES
+    }
+
+
+def measure_values(measure: MeasureKind, mu0, mu1, kind: OutcomeKind, nonevent=None) -> np.ndarray:
+    """``measure`` over the pairs of :func:`measure_table`; the first pair
+    outside its domain raises UndefinedMeasure."""
+    table = measure_table(mu0, mu1, kind, nonevent)
+    if measure not in table:
+        raise UndefinedMeasure(f"{measure.value} is defined only for binary outcomes")
+    values, undefined = table[measure]
+    bad = np.flatnonzero(undefined)
+    if bad.size:
+        pair = OutcomePair(float(mu0[bad[0]]), float(mu1[bad[0]]), kind)
+        reason = UNDEFINED_REASONS[undefined[bad[0]]]
+        raise UndefinedMeasure(reason.format(measure=measure.value, pair=pair))
+    return values
+
+
+def pair_arrays(pairs: Sequence[OutcomePair]) -> tuple:
+    """The arguments of :func:`measure_table` for pairs of one kind."""
+    nonevent = [p.nonevent or (math.nan, math.nan) for p in pairs]
+    return [p.mu0 for p in pairs], [p.mu1 for p in pairs], pairs[0].kind, np.transpose(nonevent)
 
 
 def compute_measure(measure: MeasureKind, pair: OutcomePair) -> MeasureValue:
-    """Evaluate ``measure`` on ``pair``.
-
-    Sign conventions: NNT is the signed reciprocal 1/RD (negative when
-    treatment lowers the event probability); display layers may print the
-    magnitude with a benefit/harm tag. For continuous outcomes the ratio
-    measures RR/ERR only check mu0 != 0 — constancy of the outcome's sign
-    cannot be verified from the two summaries, so the caller owns that.
-    """
-    mu0, mu1 = pair.mu0, pair.mu1
-    binary = pair.kind is OutcomeKind.BINARY
-    if measure in BINARY_ONLY_MEASURES and not binary:
-        raise UndefinedMeasure(f"{measure.value} is defined only for binary outcomes")
-
-    if measure is MeasureKind.RD or measure is MeasureKind.NNT:
-        # difference on the exactly stored side: relabelling negates it exactly
-        if pair.nonevent is None:
-            value = mu1 - mu0
-        else:
-            value = pair.nonevent[0] - pair.nonevent[1]
-        if measure is MeasureKind.NNT:
-            if value == 0.0:
-                raise UndefinedMeasure("NNT diverges at a null effect (mu1 == mu0)")
-            value = 1.0 / value
-    elif measure is MeasureKind.RR or measure is MeasureKind.ERR:
-        if mu0 == 0.0:
-            raise UndefinedMeasure("RR requires mu0 != 0")
-        value = mu1 / mu0
-        if measure is MeasureKind.ERR:
-            value -= 1.0
-    elif measure is MeasureKind.SR or measure is MeasureKind.RS:
-        s0, s1 = _survival(pair)
-        if s0 == 0.0:
-            raise UndefinedMeasure("SR requires mu0 != 1")
-        value = s1 / s0
-        if measure is MeasureKind.RS:
-            value = 1.0 - value
-    elif measure is MeasureKind.OR or measure is MeasureKind.LOG_OR:
-        s0, s1 = _survival(pair)
-        if 0.0 in (mu0, mu1, s0, s1):
-            raise UndefinedMeasure("OR requires both probabilities strictly inside (0, 1)")
-        value = (mu1 / s1) / (mu0 / s0)
-        if measure is MeasureKind.LOG_OR:
-            value = math.log(value)
-    else:  # pragma: no cover - exhaustive over MeasureKind
-        raise UndefinedMeasure(f"unknown measure {measure!r}")
-
-    if not math.isfinite(value):  # pragma: no cover - guarded above
-        raise UndefinedMeasure(f"{measure.value} is not finite for {pair}")
+    """Evaluate ``measure`` on ``pair``, or raise UndefinedMeasure outside
+    its domain; the conventions are :func:`measure_table`'s."""
+    value = measure_values(measure, *pair_arrays([pair]))[0].item()
     return MeasureValue(measure, value, _NULL_REFERENCE[measure])
-
-
-def measures_for_kind(kind: OutcomeKind) -> tuple[MeasureKind, ...]:
-    """The measures applicable to an outcome kind, in catalogue order."""
-    if kind is OutcomeKind.BINARY:
-        return tuple(MeasureKind)
-    return tuple(m for m in MeasureKind if m not in BINARY_ONLY_MEASURES)
 
 
 def all_measures(pair: OutcomePair) -> list[MeasureValue | UndefinedAnnotation]:
     """Every measure applicable to ``pair.kind``; undefined ones are
     reported in-band as :class:`UndefinedAnnotation`, never omitted."""
     out: list[MeasureValue | UndefinedAnnotation] = []
-    for measure in measures_for_kind(pair.kind):
-        try:
-            out.append(compute_measure(measure, pair))
-        except UndefinedMeasure as exc:
-            out.append(UndefinedAnnotation(measure, exc.reason))
+    for measure, (values, undefined) in measure_table(*pair_arrays([pair])).items():
+        if undefined[0]:
+            reason = UNDEFINED_REASONS[undefined[0]].format(measure=measure.value, pair=pair)
+            out.append(UndefinedAnnotation(measure, reason))
+        else:
+            out.append(MeasureValue(measure, values[0].item(), _NULL_REFERENCE[measure]))
     return out
 
 

@@ -10,15 +10,18 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvariantViolation, NonCollapsible, UndefinedMeasure
+from .genmodel import expit
 from .measures import (
     MeasureKind,
     MeasureValue,
     OutcomeKind,
     OutcomePair,
     compute_measure,
+    measure_values,
+    pair_arrays,
 )
 
 __all__ = [
@@ -145,7 +148,7 @@ def marginal_pair(dist: StratifiedDistribution) -> OutcomePair:
 
 
 def _stratum_values(measure: MeasureKind, dist: StratifiedDistribution) -> list[float]:
-    return [compute_measure(measure, s.pair).value for s in dist.strata]
+    return measure_values(measure, *pair_arrays([s.pair for s in dist.strata])).tolist()
 
 
 def collapsibility_weights(
@@ -216,13 +219,6 @@ def is_homogeneous(
     return max(values) - min(values) <= tol
 
 
-def _expit(x: float) -> float:
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
 def find_or_noncollapsibility_example(seed: int) -> StratifiedDistribution:
     """A two-stratum distribution whose OR is not logic-respecting.
 
@@ -240,12 +236,12 @@ def find_or_noncollapsibility_example(seed: int) -> StratifiedDistribution:
         Stratum(
             "low-baseline",
             p,
-            OutcomePair(_expit(b_low), _expit(b_low + m), OutcomeKind.BINARY),
+            OutcomePair(expit(b_low), expit(b_low + m), OutcomeKind.BINARY),
         ),
         Stratum(
             "high-baseline",
             1.0 - p,
-            OutcomePair(_expit(b_high), _expit(b_high + m), OutcomeKind.BINARY),
+            OutcomePair(expit(b_high), expit(b_high + m), OutcomeKind.BINARY),
         ),
     )
     return StratifiedDistribution(strata, OutcomeKind.BINARY)

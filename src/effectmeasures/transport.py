@@ -32,11 +32,11 @@ from .errors import (
 )
 from .genmodel import MonotonicityDirection
 from .measures import (
-    BINARY_ONLY_MEASURES,
     MeasureKind,
     OutcomeKind,
     OutcomePair,
     compute_measure,
+    measure_values,
 )
 from .strata import COLLAPSIBLE_MEASURES
 
@@ -568,10 +568,10 @@ def generalize_local(
     _check_support(cells, present, mu0_by_cell, mu1_by_cell)
 
     kind = _infer_kind(trial)
-    local = np.array([
-        compute_measure(measure, _pair(mu0_by_cell[c], mu1_by_cell[c], kind)).value
-        for c in present
-    ])
+    try:
+        local = measure_values(measure, mu0_by_cell[present], mu1_by_cell[present], kind)
+    except InvariantViolation as exc:
+        raise UndefinedMeasure(f"estimated pair out of range: {exc}") from None
     proportions = count[present] / target.n
     if measure is MeasureKind.RD:
         weights = proportions

@@ -77,6 +77,60 @@ class TestMeasures:
         assert code == EXIT_OK
         assert {rec["measure"] for rec in json.loads(out)} == {"rd", "rr", "err"}
 
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (
+                ["--mu0", "0.3", "--mu1", "0.3"],
+                '[{"measure": "rd", "value": 0.0}, {"measure": "rr", "value": 1.0}, '
+                '{"measure": "sr", "value": 1.0}, {"measure": "err", "value": 0.0}, '
+                '{"measure": "rs", "value": 0.0}, {"measure": "nnt", "undefined": '
+                '"NNT diverges at a null effect (mu1 == mu0)"}, {"measure": "or", '
+                '"value": 1.0}, {"measure": "log_or", "value": 0.0}]',
+            ),
+            (
+                ["--mu0", "0", "--mu1", "1"],
+                '[{"measure": "rd", "value": 1.0}, {"measure": "rr", "undefined": '
+                '"RR requires mu0 != 0"}, {"measure": "sr", "value": 0.0}, {"measure": '
+                '"err", "undefined": "RR requires mu0 != 0"}, {"measure": "rs", "value": '
+                '1.0}, {"measure": "nnt", "value": 1.0, "magnitude": 1.0, "tag": "harm"}, '
+                '{"measure": "or", "undefined": "OR requires both probabilities strictly '
+                'inside (0, 1)"}, {"measure": "log_or", "undefined": "OR requires both '
+                'probabilities strictly inside (0, 1)"}]',
+            ),
+            (
+                ["--mu0", "0", "--mu1", "2.5", "--kind", "continuous"],
+                '[{"measure": "rd", "value": 2.5}, {"measure": "rr", "undefined": '
+                '"RR requires mu0 != 0"}, {"measure": "err", "undefined": '
+                '"RR requires mu0 != 0"}]',
+            ),
+            (
+                ["--mu0", "0.2", "--mu1", "0.12", "--swap-labels"],
+                '[{"measure": "rd", "value": 0.08000000000000002}, {"measure": "rr", '
+                '"value": 1.0999999999999999}, {"measure": "sr", "value": 0.6}, '
+                '{"measure": "err", "value": 0.09999999999999987}, {"measure": "rs", '
+                '"value": 0.4}, {"measure": "nnt", "value": 12.499999999999998, '
+                '"magnitude": 12.499999999999998, "tag": "harm"}, {"measure": "or", '
+                '"value": 1.8333333333333335}, {"measure": "log_or", "value": '
+                '0.6061358035703156}]',
+            ),
+            (  # OR underflows to 0: log-OR is annotated, not a crash
+                ["--mu0", "0.9", "--mu1", "5e-324"],
+                '[{"measure": "rd", "value": -0.9}, {"measure": "rr", "value": 5e-324}, '
+                '{"measure": "sr", "value": 10.000000000000002}, {"measure": "err", '
+                '"value": -1.0}, {"measure": "rs", "value": -9.000000000000002}, '
+                '{"measure": "nnt", "value": -1.1111111111111112, "magnitude": '
+                '1.1111111111111112, "tag": "benefit"}, {"measure": "or", "value": 0.0}, '
+                '{"measure": "log_or", "undefined": "log_or is not finite for '
+                "OutcomePair(mu0=0.9, mu1=5e-324, kind=<OutcomeKind.BINARY: 'binary'>)\"}]",
+            ),
+        ],
+    )
+    def test_json_bytes_pinned(self, capsys, argv, expected):
+        code, out, _ = run(capsys, ["measures", *argv, "--json"])
+        assert code == EXIT_OK
+        assert out == expected + "\n"
+
     def test_out_of_range_probability(self, capsys):
         code, _, err = run(capsys, ["measures", "--mu0", "1.5", "--mu1", "0.5"])
         assert code == EXIT_VALIDATION

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -253,6 +255,25 @@ class TestGrid:
     def test_resolution_floor(self, tmp_path):
         with pytest.raises(InvariantViolation):
             dataio.emit_grid(1, tmp_path / "grid.csv")
+
+    def test_resolution_300_bytes_pinned(self, tmp_path):
+        """The bytes written before the measures were computed as arrays."""
+        path = tmp_path / "grid.csv"
+        dataio.emit_grid(300, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "43280fdda069d1c8a9f130dce37229ffcb02a1237b8655ce3b123d26c03313de"
+        )
+
+    def test_memory_stays_flat_in_resolution(self, tmp_path):
+        """Rows are computed and written one mu0 at a time: the whole
+        300 x 300 lattice held at once peaks above 150 MB."""
+        tracemalloc.start()
+        try:
+            dataio.emit_grid(300, tmp_path / "grid.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestModelIO:

@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from effectmeasures.errors import InvariantViolation, UndefinedMeasure
 from effectmeasures.measures import (
+    UNDEFINED_REASONS,
     MeasureKind,
     MeasureValue,
     OutcomeKind,
@@ -13,9 +15,13 @@ from effectmeasures.measures import (
     UndefinedAnnotation,
     all_measures,
     compute_measure,
+    measure_table,
+    measure_values,
+    pair_arrays,
     rr_feasible_baseline,
     swap_labels,
 )
+from measure_reference import reference_measure
 
 
 def binary(mu0, mu1):
@@ -237,6 +243,125 @@ class TestIdentities:
                 assert math.isfinite(entry.value)
                 if entry.measure in (MeasureKind.RR, MeasureKind.SR, MeasureKind.OR):
                     assert entry.value > 0.0
+
+
+def _expected(measure, pair):
+    """The reference's value or reason for ``measure`` on ``pair``."""
+    try:
+        return reference_measure(measure, pair), None
+    except UndefinedMeasure as exc:
+        return None, exc.reason
+    except ValueError:
+        # the reference crashes on math.log(0.0) when OR underflows to 0;
+        # the kernel reports that log-OR as not finite instead
+        assert measure is MeasureKind.LOG_OR
+        return None, f"log_or is not finite for {pair}"
+
+
+_EDGES = [0.0, 1.0, 0.5, 5e-324, 1e-300, 1e-20, 1.0 - 2.0**-53, 0.9, 0.3]
+_probability = st.one_of(st.sampled_from(_EDGES), st.floats(0.0, 1.0))
+_real = st.one_of(
+    st.sampled_from(_EDGES + [-0.0, -2.5, 1e-310, 1e10, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _pairs(draw):
+    """1-30 pairs of one kind, with boundary values, null effects and, for
+    binary pairs, relabelled pairs that keep their exact side."""
+    kind = draw(st.sampled_from(OutcomeKind))
+    value = _probability if kind is OutcomeKind.BINARY else _real
+    pairs = []
+    for _ in range(draw(st.integers(1, 30))):
+        mu0 = draw(value)
+        mu1 = mu0 if draw(st.booleans()) and draw(st.booleans()) else draw(value)
+        pair = OutcomePair(mu0, mu1, kind)
+        if kind is OutcomeKind.BINARY and draw(st.booleans()):
+            pair = swap_labels(pair)
+        pairs.append(pair)
+    return pairs
+
+
+class TestKernel:
+    """``measure_table`` and its views against the scalar reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_pairs())
+    @example([binary(0.9, 5e-324), swap_labels(binary(5e-324, 0.5))])
+    @example([continuous(0.0, 2.5), continuous(1e-310, 1e10), continuous(-1e308, 1e308)])
+    def test_matches_the_reference_bit_for_bit(self, pairs):
+        kind = pairs[0].kind
+        exact = [p for p in pairs if p.nonevent is not None]
+        rounded = [p for p in pairs if p.nonevent is None]
+        for group, nonevent in ((rounded, None), (exact, [p.nonevent for p in exact])):
+            if not group:
+                continue
+            table = measure_table(
+                [p.mu0 for p in group],
+                [p.mu1 for p in group],
+                kind,
+                None if nonevent is None else np.transpose(nonevent),
+            )
+            for measure, (values, undefined) in table.items():
+                for pair, v, code in zip(group, values.tolist(), undefined.tolist()):
+                    expected, reason = _expected(measure, pair)
+                    if reason is None:
+                        assert code == 0 and repr(v) == repr(expected)
+                    else:
+                        text = UNDEFINED_REASONS[code].format(measure=measure.value, pair=pair)
+                        assert math.isnan(v) and text == reason
+        for measure in MeasureKind:
+            expected = [_expected(measure, p) for p in pairs]
+            first_reason = next((r for _, r in expected if r is not None), None)
+            if first_reason is None:
+                got = measure_values(measure, *pair_arrays(pairs)).tolist()
+                assert list(map(repr, got)) == [repr(v) for v, _ in expected]
+            else:
+                with pytest.raises(UndefinedMeasure) as err:
+                    measure_values(measure, *pair_arrays(pairs))
+                assert err.value.reason == first_reason
+        for pair in pairs:
+            for entry in all_measures(pair):
+                expected, reason = _expected(entry.measure, pair)
+                if reason is None:
+                    assert type(entry.value) is float and repr(entry.value) == repr(expected)
+                else:
+                    assert entry.reason == reason
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(OutcomeKind),
+        st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=5),
+        # in the kernel's arrays (nan, nan) marks a pair without an exact side
+        st.none()
+        | st.tuples(st.floats(), st.floats()).filter(lambda t: not all(map(math.isnan, t))),
+    )
+    @example(OutcomeKind.BINARY, [(0.5, 0.5)], (math.nan, 0.5))
+    @example(OutcomeKind.BINARY, [(0.8, 0.88), (2.0, 0.5)], (0.2, 0.12))
+    def test_rejects_what_outcome_pair_rejects(self, kind, pairs, nonevent):
+        """The first invalid pair raises OutcomePair's own error."""
+        error = None
+        for mu0, mu1 in pairs:
+            try:
+                OutcomePair(mu0, mu1, kind, nonevent)
+            except InvariantViolation as exc:
+                error = str(exc)
+                break
+        mu0, mu1 = np.transpose(pairs)
+        sides = None if nonevent is None else np.transpose([nonevent] * len(pairs))
+        if error is None:
+            measure_table(mu0, mu1, kind, sides)
+        else:
+            with pytest.raises(InvariantViolation) as err:
+                measure_table(mu0, mu1, kind, sides)
+            assert str(err.value) == error
+
+    def test_log_of_an_underflowed_odds_ratio_is_undefined(self):
+        pair = binary(0.9, 5e-324)
+        assert value(MeasureKind.OR, pair) == 0.0
+        with pytest.raises(UndefinedMeasure, match="log_or is not finite"):
+            compute_measure(MeasureKind.LOG_OR, pair)
 
 
 class TestFeasibleBaseline:

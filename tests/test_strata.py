@@ -181,6 +181,11 @@ class TestJensenGenerator:
     def test_deterministic_in_seed(self):
         assert find_or_noncollapsibility_example(3) == find_or_noncollapsibility_example(3)
         assert find_or_noncollapsibility_example(3) != find_or_noncollapsibility_example(4)
+        strata = find_or_noncollapsibility_example(0).strata
+        assert [(s.proportion, s.pair.mu0, s.pair.mu1) for s in strata] == [
+            (0.4035667001171853, 0.28734870528482276, 0.676148160291056),
+            (0.5964332998828147, 0.6471821652209894, 0.9047451857329555),
+        ]
 
 
 class TestValidation:
