@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 validation failure, 3 measure/plan semantics
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import math
 import sys
@@ -46,14 +47,7 @@ from .strata import (
     marginal_pair,
     naive_average,
 )
-from .transport import (
-    Learner,
-    Strategy,
-    generalize_local,
-    gformula_conditional,
-    ipsw_conditional,
-    plan_adjustment,
-)
+from .transport import Learner, Strategy, plan_adjustment
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -70,35 +64,31 @@ _SEMANTIC_ERRORS = (
 )
 
 
-def _measure(text: str) -> MeasureKind:
-    try:
-        return MeasureKind(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"unknown measure {text!r}; choose from {[m.value for m in MeasureKind]}"
-        ) from None
+def _enum_type(kind: type[enum.Enum], error: str):
+    """An argparse type for the values of ``kind``; ``error`` words a
+    rejection, with ``text`` and the accepted ``values`` filled in."""
+
+    def parse(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            values = [k.value for k in kind]
+            raise argparse.ArgumentTypeError(error.format(text=text, values=values)) from None
+
+    return parse
 
 
-def _kind(text: str) -> OutcomeKind:
-    try:
-        return OutcomeKind(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"outcome kind must be 'binary' or 'continuous'") from None
-
-
-def _direction(text: str) -> MonotonicityDirection:
-    try:
-        return MonotonicityDirection(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"direction must be one of {[d.value for d in MonotonicityDirection]}"
-        ) from None
+_measure = _enum_type(MeasureKind, "unknown measure {text!r}; choose from {values}")
+_kind = _enum_type(OutcomeKind, "outcome kind must be 'binary' or 'continuous'")
+_direction = _enum_type(MonotonicityDirection, "direction must be one of {values}")
 
 
 def _covariate_list(text: str) -> tuple[str, ...]:
     names = tuple(c for c in text.split(",") if c)
     if not names:
         raise argparse.ArgumentTypeError("covariate list must be non-empty")
+    if len(set(names)) != len(names):
+        raise argparse.ArgumentTypeError(f"duplicate covariate names in {text!r}")
     return names
 
 
@@ -199,10 +189,9 @@ def _cmd_collapse(args) -> int:
 
 def _cmd_plan(args) -> int:
     roles = dataio.load_roles(args.roles)
-    strategy = (
-        Strategy.LOCAL_EFFECT if args.strategy == "local" else Strategy.CONDITIONAL_OUTCOME
+    plan = plan_adjustment(
+        roles, args.measure, args.outcome, args.direction, Strategy(args.strategy)
     )
-    plan = plan_adjustment(roles, args.measure, args.outcome, args.direction, strategy)
     record = {
         "measure": plan.measure.value,
         "outcome": plan.outcome.value,
@@ -219,12 +208,9 @@ def _cmd_transport(args) -> int:
     trial = dataio.load_trial(args.trial)
     target = dataio.load_target(args.target)
     learner = Learner(args.learner)
-    if args.strategy == "gformula":
-        est = gformula_conditional(trial, target, args.measure, args.covariates, learner)
-    elif args.strategy == "ipsw":
-        est = ipsw_conditional(trial, target, args.measure, args.covariates)
-    else:
-        est = generalize_local(trial, target, args.measure, args.covariates, learner)
+    est = simbench.estimator(args.strategy, learner)(
+        trial, target, args.measure, args.covariates, learner
+    )
     record = {
         "measure": est.measure.value,
         "strategy": args.strategy,
@@ -262,11 +248,7 @@ def _cmd_simulate(args) -> int:
                 "strategy": s.config.strategy,
                 "covariates": list(s.config.covariates),
                 "ground_truth": s.ground_truth,
-                "median": _json_number(s.median),
-                "q1": _json_number(s.q1),
-                "q3": _json_number(s.q3),
-                "mean": _json_number(s.mean),
-                "sd": _json_number(s.sd),
+                **{k: _json_number(getattr(s, k)) for k in ("median", "q1", "q3", "mean", "sd")},
                 "n_failed": s.n_failed,
             }
             for s in report.summaries
@@ -316,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", type=_measure, required=True)
     p.add_argument("--outcome", type=_kind, required=True)
     p.add_argument("--direction", type=_direction, default=MonotonicityDirection.NON_MONOTONE)
-    p.add_argument("--strategy", choices=["conditional", "local"], required=True)
+    p.add_argument("--strategy", choices=[s.value for s in Strategy], required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=_cmd_plan)
 
@@ -324,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trial", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--measure", type=_measure, required=True)
-    p.add_argument("--strategy", choices=["gformula", "ipsw", "local"], required=True)
+    p.add_argument("--strategy", choices=list(simbench.estimators()), required=True)
     p.add_argument("--covariates", type=_covariate_list, required=True)
     p.add_argument(
         "--learner", choices=[l.value for l in Learner], default=Learner.CELL_MEANS.value

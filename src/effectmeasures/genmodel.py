@@ -277,16 +277,13 @@ def population_measures_binary(
 def _check_direction(
     model: EntanglementModel, direction: MonotonicityDirection
 ) -> None:
-    if direction is MonotonicityDirection.BENEFICIAL:
-        bad = [c for c, v in model.m_b.items() if v != 0.0]
-        if bad:
-            raise DirectionViolated(f"beneficial direction asserted but m_b != 0 on {bad!r}")
-    elif direction is MonotonicityDirection.HARMFUL:
-        bad = [c for c, v in model.m_g.items() if v != 0.0]
-        if bad:
-            raise DirectionViolated(f"harmful direction asserted but m_g != 0 on {bad!r}")
-    else:
+    if direction is MonotonicityDirection.NON_MONOTONE:
         raise DirectionViolated("a monotone direction is required")
+    # a beneficial effect never switches on, a harmful one never switches off
+    name = "m_b" if direction is MonotonicityDirection.BENEFICIAL else "m_g"
+    bad = [c for c, v in getattr(model, name).items() if v != 0.0]
+    if bad:
+        raise DirectionViolated(f"{direction.value} direction asserted but {name} != 0 on {bad!r}")
 
 
 def monotone_ratio(

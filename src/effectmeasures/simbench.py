@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,7 +27,9 @@ from .genmodel import (
 )
 from .measures import MeasureKind, OutcomeKind, UndefinedMeasure
 from .transport import (
+    GeneralizedEstimate,
     Learner,
+    Strategy,
     TargetSample,
     TrialSample,
     generalize_local,
@@ -36,6 +39,9 @@ from .transport import (
 
 __all__ = [
     "Scenario",
+    "Estimator",
+    "estimators",
+    "estimator",
     "EstimatorConfig",
     "ReplicationResult",
     "ConfigSummary",
@@ -49,10 +55,42 @@ __all__ = [
 ]
 
 
+class Estimator(NamedTuple):
+    """A row of :func:`estimators`: a function of ``(trial, target,
+    measure, covariates, learner)``, the strategy it generalizes by, and
+    the learners it accepts."""
+
+    function: Callable[..., GeneralizedEstimate]
+    strategy: Strategy
+    learners: tuple[Learner, ...]
+
+
+def estimators() -> dict[str, Estimator]:
+    """The estimators by the names study configurations and ``transport
+    --strategy`` use; built on each call from this module's bindings, so a
+    wrapper installed over one of them (as perfbench's tracer does) is run."""
+    return {
+        "gformula": Estimator(gformula_conditional, Strategy.CONDITIONAL_OUTCOME, tuple(Learner)),
+        "ipsw": Estimator(ipsw_conditional, Strategy.CONDITIONAL_OUTCOME, (Learner.CELL_MEANS,)),
+        "local": Estimator(generalize_local, Strategy.LOCAL_EFFECT, tuple(Learner)),
+    }
+
+
+def estimator(name: str, learner: Learner) -> Callable[..., GeneralizedEstimate]:
+    """The table's function ``name``, checked to accept ``learner``."""
+    table = estimators()
+    if name not in table:
+        raise InvariantViolation(f"unknown strategy {name!r}; choose from {list(table)}")
+    if learner not in table[name].learners:
+        accepted = [l.value for l in table[name].learners]
+        raise InvariantViolation(f"{name} accepts the learners {accepted}, not {learner.value!r}")
+    return table[name].function
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     measure: MeasureKind
-    strategy: str  # "gformula" | "ipsw" | "local"
+    strategy: str  # an estimator name, a key of estimators()
     covariates: tuple[str, ...]
 
     @property
@@ -97,6 +135,7 @@ class Scenario:
     name: str
     covariates: tuple[str, ...]
     outcome: OutcomeKind
+    learner: Learner  # how its estimators fit conditional means
     default_n: int
     default_m: int
     default_reps: int
@@ -124,6 +163,7 @@ class _ContinuousLinear(Scenario):
     name = "continuous-linear"
     covariates = ("X1", "X2", "X3", "X4", "X5", "X6")
     outcome = OutcomeKind.CONTINUOUS
+    learner = Learner.LEAST_SQUARES
     default_n = 2000
     default_m = 5000
     default_reps = 50
@@ -166,13 +206,9 @@ class _ContinuousLinear(Scenario):
         return TargetSample(self.covariates, x)
 
     def _moments(self, population: str) -> tuple[float, float]:
-        mu = self._MEANS[population]
-        e_b = (
-            0.05 * mu[0] + 0.04 * mu[1] + 2.0 * mu[2]
-            + self._P4[population] + 2.0 * self._P5 - 2.0 * 4.0
-        )
-        e_m = 1.5 * mu[0] + 2.0 * mu[1] + self._P5
-        return float(e_b), float(e_m)
+        # b and m are linear, so their means are their values at the covariate means
+        means = np.array([[*self._MEANS[population], self._P4[population], self._P5, 4.0]])
+        return float(self._b(means)[0]), float(self._m(means)[0])
 
     def ground_truth(self, measure: MeasureKind, population: str = "target") -> float:
         e_b, e_m = self._moments(population)
@@ -211,6 +247,7 @@ class _RouletteHeterogeneous(Scenario):
     name = "roulette-heterogeneous"
     covariates = ("lifestyle", "stress", "gender")
     outcome = OutcomeKind.BINARY
+    learner = Learner.CELL_MEANS
     default_n = 10000
     default_m = 20000
     default_reps = 20
@@ -324,12 +361,7 @@ def _validate_config(scenario: Scenario, config: tuple[EstimatorConfig, ...]) ->
             raise InvariantViolation(
                 f"covariates {entry.covariates!r} not in scenario {scenario.name!r}"
             )
-        if entry.strategy not in ("gformula", "ipsw", "local"):
-            raise InvariantViolation(f"unknown strategy {entry.strategy!r}")
-        if entry.strategy == "ipsw" and scenario.outcome is OutcomeKind.CONTINUOUS:
-            raise InvariantViolation(
-                "ipsw needs categorical covariates; unavailable for this scenario"
-            )
+        estimator(entry.strategy, scenario.learner)
 
 
 def _rep_rng(seed: int, rep_index: int) -> np.random.Generator:
@@ -353,21 +385,13 @@ def _run_one(
     except EffectMeasureError as exc:
         reason = f"{type(exc).__name__}: {exc}"
         return ReplicationResult(rep_index, {}, {entry.key: reason for entry in config})
-    learner = (
-        Learner.LEAST_SQUARES
-        if scenario.outcome is OutcomeKind.CONTINUOUS
-        else Learner.CELL_MEANS
-    )
     estimates: dict[tuple, float] = {}
     failures: dict[tuple, str] = {}
     for entry in config:
         try:
-            if entry.strategy == "gformula":
-                est = gformula_conditional(trial, target, entry.measure, entry.covariates, learner)
-            elif entry.strategy == "ipsw":
-                est = ipsw_conditional(trial, target, entry.measure, entry.covariates)
-            else:
-                est = generalize_local(trial, target, entry.measure, entry.covariates, learner)
+            est = estimator(entry.strategy, scenario.learner)(
+                trial, target, entry.measure, entry.covariates, scenario.learner
+            )
             estimates[entry.key] = est.value
         except EffectMeasureError as exc:
             failures[entry.key] = f"{type(exc).__name__}: {exc}"
@@ -416,7 +440,6 @@ def run_scenario(
             )
     else:
         results = [_run_one(scenario, seed, r, n, m, config) for r in range(reps)]
-    results.sort(key=lambda r: r.rep_index)
 
     summaries = []
     for entry in config:

@@ -160,9 +160,16 @@ def collapsibility_weights(
     control mean, SR/RS by the control survival. NNT, OR and log-OR admit
     no such weights.
     """
+    return _weighted_values(measure, dist)[0]
+
+
+def _weighted_values(
+    measure: MeasureKind, dist: StratifiedDistribution
+) -> tuple[CollapseWeights, list[float]]:
+    """The collapsibility weights and the stratum values they weight."""
     if measure not in COLLAPSIBLE_MEASURES:
         raise NonCollapsible(measure)
-    _stratum_values(measure, dist)  # surface per-stratum domain violations
+    values = _stratum_values(measure, dist)  # a stratum outside the domain raises first
     if measure is MeasureKind.RD:
         raw = [s.proportion for s in dist.strata]
     else:
@@ -178,14 +185,13 @@ def collapsibility_weights(
                 s.proportion * (1.0 - s.pair.mu0) / (1.0 - marg.mu0) for s in dist.strata
             ]
     total = math.fsum(raw)
-    return CollapseWeights(measure, tuple(w / total for w in raw))
+    return CollapseWeights(measure, tuple(w / total for w in raw)), values
 
 
 def collapse(measure: MeasureKind, dist: StratifiedDistribution) -> MeasureValue:
     """Weighted stratum average; equals the marginal measure by
     collapsibility."""
-    weights = collapsibility_weights(measure, dist)
-    values = _stratum_values(measure, dist)
+    weights, values = _weighted_values(measure, dist)
     value = math.fsum(w * v for w, v in zip(weights.weights, values))
     reference = compute_measure(measure, marginal_pair(dist))
     return MeasureValue(measure, value, reference.null_reference)

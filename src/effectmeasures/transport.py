@@ -247,6 +247,8 @@ class _Sample:
 
     def __init__(self, covariates: Sequence[str], x) -> None:
         self.covariates = tuple(covariates)
+        if len(set(self.covariates)) != len(self.covariates):
+            raise InvariantViolation(f"duplicate covariate names in {self.covariates!r}")
         self.n = len(x)
         if self.n == 0:
             raise InvariantViolation(f"{type(self).__name__} needs at least one row")
@@ -429,30 +431,33 @@ def _infer_kind(trial: TrialSample) -> OutcomeKind:
     return OutcomeKind.CONTINUOUS
 
 
-def _pair(mu0: float, mu1: float, kind: OutcomeKind) -> OutcomePair:
+def _cell_means(trial: TrialSample, target: TargetSample, covariates: Sequence[str]):
+    """The cells of ``covariates`` and each arm's mean trial outcome per
+    cell, indexed by cell code (NaN where the arm has no row in the cell).
+    Every cell with target rows needs rows in both trial arms."""
+    cells = _Cells(trial, target, covariates)
+    # one bin per (cell, arm); bincount adds each bin's outcomes in row order
+    by_arm = 2 * cells.trial + trial.a
+    count = np.bincount(by_arm, minlength=2 * cells.size).reshape(cells.size, 2).T
+    total = np.bincount(by_arm, trial.y, minlength=2 * cells.size).reshape(cells.size, 2).T
+    mu0, mu1 = np.divide(total, count, out=np.full(count.shape, np.nan), where=count > 0)
+    missing = np.flatnonzero((cells.counts(cells.target) > 0) & (np.isnan(mu0) | np.isnan(mu1)))
+    if missing.size:
+        raise SupportViolation(cells.tuples(missing, in_target=True))
+    return cells, mu0, mu1
+
+
+def _contrast(trial: TrialSample, target: TargetSample, measure, covariates, means):
+    """The conditional-outcome estimate: ``measure`` of the generalized
+    arm means ``(mu0, mu1)``."""
     try:
-        return OutcomePair(float(mu0), float(mu1), kind)
+        pair = OutcomePair(float(means[0]), float(means[1]), _infer_kind(trial))
     except InvariantViolation as exc:
         raise UndefinedMeasure(f"estimated pair out of range: {exc}") from None
-
-
-def _arm_cell_means(trial: TrialSample, cells: _Cells) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell outcome means for each arm, indexed by cell code; NaN
-    where the arm has no row in the cell."""
-    means = []
-    for arm in (0, 1):
-        rows = trial.a == arm
-        count = cells.counts(cells.trial[rows])
-        total = cells.counts(cells.trial[rows], trial.y[rows])
-        means.append(np.divide(total, count, out=np.full(cells.size, np.nan), where=count > 0))
-    return means[0], means[1]
-
-
-def _check_support(cells: _Cells, codes: np.ndarray, mu0: np.ndarray, mu1: np.ndarray) -> None:
-    """``codes`` are target cells; each needs rows in both trial arms."""
-    missing = codes[np.isnan(mu0[codes]) | np.isnan(mu1[codes])]
-    if missing.size:
-        raise SupportViolation(cells.tuples(np.unique(missing), in_target=True))
+    value = compute_measure(measure, pair).value
+    return GeneralizedEstimate(
+        measure, Strategy.CONDITIONAL_OUTCOME, value, tuple(covariates), trial.n, target.n
+    )
 
 
 def least_squares_fit(x_rows: Sequence[Sequence[float]], y: Sequence[float]) -> np.ndarray:
@@ -464,10 +469,16 @@ def least_squares_fit(x_rows: Sequence[Sequence[float]], y: Sequence[float]) -> 
     return coef
 
 
-def _ls_predictions(
-    trial: TrialSample, target: TargetSample, covariates: Sequence[str]
-) -> tuple[float, float]:
-    """Per-arm OLS fits on the trial, averaged over target rows."""
+def _gformula_means(trial: TrialSample, target: TargetSample, covariates, learner: Learner):
+    """Per-arm conditional means fitted on the trial by ``learner``,
+    averaged over the target rows."""
+    if learner is Learner.CELL_MEANS:
+        cells, mu0, mu1 = _cell_means(trial, target, covariates)
+        # fsum is exact, so the per-row order of the gathered means is immaterial
+        return (
+            math.fsum(mu0[cells.target].tolist()) / target.n,
+            math.fsum(mu1[cells.target].tolist()) / target.n,
+        )
     source = [trial.columns[i] for i in trial.column_indices(covariates)]
     # a C-contiguous design keeps the BLAS product, and so the mean, bit-stable
     tgt = np.column_stack(
@@ -491,20 +502,8 @@ def gformula_conditional(
 ) -> GeneralizedEstimate:
     """Plug-in g-formula: fit per-arm conditional means on the trial,
     average them over the target covariate rows, contrast."""
-    if learner is Learner.CELL_MEANS:
-        cells = _Cells(trial, target, covariates)
-        mu0_by_cell, mu1_by_cell = _arm_cell_means(trial, cells)
-        _check_support(cells, cells.target, mu0_by_cell, mu1_by_cell)
-        # fsum is exact, so the per-row order of the gathered means is immaterial
-        mu0 = math.fsum(mu0_by_cell[cells.target].tolist()) / target.n
-        mu1 = math.fsum(mu1_by_cell[cells.target].tolist()) / target.n
-    else:
-        mu0, mu1 = _ls_predictions(trial, target, covariates)
-    pair = _pair(mu0, mu1, _infer_kind(trial))
-    value = compute_measure(measure, pair).value
-    return GeneralizedEstimate(
-        measure, Strategy.CONDITIONAL_OUTCOME, value, tuple(covariates), trial.n, target.n
-    )
+    means = _gformula_means(trial, target, covariates, learner)
+    return _contrast(trial, target, measure, covariates, means)
 
 
 def ipsw_conditional(
@@ -512,19 +511,19 @@ def ipsw_conditional(
     target: TargetSample,
     measure: MeasureKind,
     covariates: Sequence[str],
+    learner: Learner = Learner.CELL_MEANS,
 ) -> GeneralizedEstimate:
     """Inverse propensity sampling weighting with empirical-frequency
     density ratios and arm-normalized weights:
-    (1/n_a) * sum over arm a of r(X_i) * Y_i."""
+    (1/n_a) * sum over arm a of r(X_i) * Y_i. The ratios are cell
+    frequencies, so ``learner`` must be cell-means."""
+    if learner is not Learner.CELL_MEANS:
+        raise InvariantViolation(f"ipsw takes no {learner.value} learner")
     ratio = estimate_density_ratio(trial, target, covariates)
     # bincount adds in row order, as a running sum over the rows would
     sums = np.bincount(trial.a, weights=ratio.at_trial_rows * trial.y, minlength=2)
     counts = np.bincount(trial.a, minlength=2)
-    pair = _pair(sums[0] / counts[0], sums[1] / counts[1], _infer_kind(trial))
-    value = compute_measure(measure, pair).value
-    return GeneralizedEstimate(
-        measure, Strategy.CONDITIONAL_OUTCOME, value, tuple(covariates), trial.n, target.n
-    )
+    return _contrast(trial, target, measure, covariates, sums / counts)
 
 
 def generalize_local(
@@ -540,36 +539,29 @@ def generalize_local(
     The weights mirror the collapsibility formulas: target proportions
     for RD; proportions scaled by target control-outcome cell means for
     RR/ERR (control survival for SR/RS), which is why the non-RD measures
-    need ``target.y0``. For RD the result coincides with the
-    cell-means g-formula.
+    need ``target.y0``. For RD the result coincides with the g-formula:
+    least-squares local effects, RD only, are the least-squares
+    g-formula's ``mu1 - mu0``.
     """
     if measure not in COLLAPSIBLE_MEASURES:
         raise NonCollapsible(measure)
     if learner is Learner.LEAST_SQUARES:
         if measure is not MeasureKind.RD:
-            raise UndefinedMeasure(
-                "least-squares local effects are supported for RD only"
-            )
-        mu0, mu1 = _ls_predictions(trial, target, covariates)
-        value = mu1 - mu0
+            raise UndefinedMeasure("least-squares local effects are supported for RD only")
+        mu0, mu1 = _gformula_means(trial, target, covariates, learner)
         return GeneralizedEstimate(
-            measure, Strategy.LOCAL_EFFECT, value, tuple(covariates), trial.n, target.n
+            measure, Strategy.LOCAL_EFFECT, mu1 - mu0, tuple(covariates), trial.n, target.n
         )
 
-    needs_y0 = measure is not MeasureKind.RD
-    if needs_y0 and target.y0 is None:
+    if measure is not MeasureKind.RD and target.y0 is None:
         raise MissingTargetControlOutcome(
             f"{measure.value} weights need control outcomes in the target sample"
         )
-    cells = _Cells(trial, target, covariates)
-    mu0_by_cell, mu1_by_cell = _arm_cell_means(trial, cells)
+    cells, mu0, mu1 = _cell_means(trial, target, covariates)
     count = cells.counts(cells.target)
     present = np.flatnonzero(count)
-    _check_support(cells, present, mu0_by_cell, mu1_by_cell)
-
-    kind = _infer_kind(trial)
     try:
-        local = measure_values(measure, mu0_by_cell[present], mu1_by_cell[present], kind)
+        local = measure_values(measure, mu0[present], mu1[present], _infer_kind(trial))
     except InvariantViolation as exc:
         raise UndefinedMeasure(f"estimated pair out of range: {exc}") from None
     proportions = count[present] / target.n
@@ -577,10 +569,9 @@ def generalize_local(
         weights = proportions
     else:
         y0_mean = cells.counts(cells.target, target.y0)[present] / count[present]
-        if measure in (MeasureKind.RR, MeasureKind.ERR):
-            raw = proportions * y0_mean
-        else:
-            raw = proportions * (1.0 - y0_mean)
+        # RR/ERR weigh by the control mean, SR/RS by the control survival
+        ratio_scale = measure in (MeasureKind.RR, MeasureKind.ERR)
+        raw = proportions * (y0_mean if ratio_scale else 1.0 - y0_mean)
         total = math.fsum(raw.tolist())
         if total == 0.0:
             raise UndefinedMeasure("degenerate target control outcomes: all weights zero")

@@ -1,18 +1,23 @@
+import ast
+import inspect
 import json
 
 import pytest
 
 from conftest import FIXTURES
-from effectmeasures import dataio
+from effectmeasures import cli, dataio
 from effectmeasures.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_SEMANTICS,
     EXIT_SUPPORT,
     EXIT_VALIDATION,
+    build_parser,
     main,
 )
-from effectmeasures.transport import TargetSample, TrialSample
+from effectmeasures.measures import MeasureKind
+from effectmeasures.simbench import estimators
+from effectmeasures.transport import Learner, Strategy, TargetSample, TrialSample
 
 PROTECTIVE = str(FIXTURES / "protective_summary.csv")
 PARADOX = str(FIXTURES / "paradox_counts.csv")
@@ -377,6 +382,91 @@ class TestTransport:
         code, err = self.estimate(capsys, trial_path, str(empty), "rd", strategy)
         assert code == EXIT_VALIDATION
         assert "InvariantViolation" in err
+
+
+    def test_ipsw_refuses_least_squares(self, capsys, toy_files):
+        trial_path, target_path = toy_files
+        code, _, err = run(
+            capsys,
+            [
+                "transport", "--trial", trial_path, "--target", target_path,
+                "--measure", "rd", "--strategy", "ipsw", "--covariates", "x",
+                "--learner", "least-squares",
+            ],
+        )
+        assert code == EXIT_VALIDATION
+        accepted = [learner.value for learner in estimators()["ipsw"].learners]
+        assert accepted == ["cell-means"]
+        assert "InvariantViolation" in err and str(accepted) in err
+
+    def test_duplicate_covariate_flag_is_validation_error(self, capsys, toy_files):
+        trial_path, target_path = toy_files
+        code, out, err = run(
+            capsys,
+            [
+                "transport", "--trial", trial_path, "--target", target_path,
+                "--measure", "rd", "--strategy", "gformula", "--covariates", "x,x",
+            ],
+        )
+        assert code == EXIT_VALIDATION
+        assert out == "" and "duplicate covariate names" in err
+
+    def test_duplicate_trial_column_is_validation_error(self, capsys, toy_files, tmp_path):
+        _, target_path = toy_files
+        trial = tmp_path / "dup.csv"
+        trial.write_text("x,x,a,y\n0,1,0,1\n1,0,1,0\n")
+        code, err = self.estimate(capsys, str(trial), target_path, "rd", "gformula")
+        assert code == EXIT_VALIDATION
+        assert "InvariantViolation" in err and "duplicate covariate names" in err
+
+
+def _string_literals(module) -> set[str]:
+    tree = ast.parse(inspect.getsource(module))
+    return {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)}
+
+
+class TestEstimatorTable:
+    """``transport`` dispatches through the one estimator table."""
+
+    @pytest.mark.parametrize("learner", list(Learner), ids=lambda l: l.value)
+    @pytest.mark.parametrize("name", list(estimators()))
+    def test_cli_agrees_with_a_direct_call(self, capsys, toy_files, name, learner):
+        trial_path, target_path = toy_files
+        code, out, err = run(
+            capsys,
+            [
+                "transport", "--trial", trial_path, "--target", target_path,
+                "--measure", "rd", "--strategy", name, "--covariates", "x",
+                "--learner", learner.value, "--json",
+            ],
+        )
+        entry = estimators()[name]
+        if learner not in entry.learners:
+            assert code == EXIT_VALIDATION
+            assert str([l.value for l in entry.learners]) in err
+            return
+        assert code == EXIT_OK
+        direct = entry.function(
+            dataio.load_trial(trial_path), dataio.load_target(target_path),
+            MeasureKind.RD, ("x",), learner,
+        )
+        assert direct.strategy is entry.strategy
+        record = json.loads(out)
+        assert record["strategy"] == name
+        assert record["value"] == direct.value  # bit for bit: JSON floats round-trip
+
+    def test_strategy_choices_come_from_the_table_and_strategy(self):
+        commands = build_parser()._subparsers._group_actions[0].choices
+        choices = {
+            name: next(a.choices for a in commands[name]._actions if a.dest == "strategy")
+            for name in ("transport", "plan")
+        }
+        assert choices["transport"] == list(estimators())
+        assert choices["plan"] == [s.value for s in Strategy]
+        literals = _string_literals(cli)
+        assert not literals & set(estimators())
+        assert not literals & {s.value for s in Strategy}
 
 
 def _reject_constant(name):

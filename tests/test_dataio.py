@@ -166,6 +166,15 @@ class TestTrialIO:
             dataio.load_trial(path)
         assert (excinfo.value.row, excinfo.value.column) == (row, column)
 
+    def test_duplicate_covariate_columns_rejected(self, tmp_path):
+        path = tmp_path / "trial.csv"
+        path.write_text("x,x,a,y\n0,1,0,1.0\n1,0,1,0.0\n")
+        with pytest.raises(InvariantViolation, match="duplicate covariate names"):
+            dataio.load_trial(path)
+        path.write_text("x,x,y0\n0,1,1.0\n")
+        with pytest.raises(InvariantViolation, match="duplicate covariate names"):
+            dataio.load_target(path)
+
     def test_covariate_values_int_else_float_else_string(self, tmp_path):
         path = tmp_path / "trial.csv"
         path.write_text("i,u,s,a,y\n1,1,1,0,0\n2,2.5,b,1,1\n")

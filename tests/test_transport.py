@@ -524,3 +524,15 @@ class TestColumnarSamples:
             TargetSample(("x",), ())
         with pytest.raises(InvariantViolation):
             TrialSample(("x",), np.zeros((0, 1)), (), ())
+
+    def test_duplicate_covariate_names_rejected(self):
+        with pytest.raises(InvariantViolation, match="duplicate covariate names"):
+            TrialSample(("x", "x"), ((0, 1), (1, 0)), (0, 1), (0.0, 1.0))
+        with pytest.raises(InvariantViolation, match="duplicate covariate names"):
+            TargetSample(("x", "z", "x"), ((0, 1, 2),))
+
+    def test_ipsw_refuses_least_squares(self, oracle_trial, oracle_target):
+        with pytest.raises(InvariantViolation, match="least-squares"):
+            ipsw_conditional(
+                oracle_trial, oracle_target, MeasureKind.RD, ("x",), Learner.LEAST_SQUARES
+            )
