@@ -10,6 +10,7 @@ shortest-roundtrip form so that load(save(x)) == x.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 from operator import itemgetter
@@ -54,7 +55,7 @@ def _fmt(value: float) -> str:
 
 
 def _read_rows(path) -> tuple[list[str], list[list[str]]]:
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise ParseError(f"{path}: empty file, header expected")
@@ -214,14 +215,78 @@ def _covariate_rows(texts: list[list[str]], n: int):
     return stack_columns([_covariate_column(t) for t in texts], n)
 
 
-def load_trial(path) -> TrialSample:
-    """Trial CSV: covariate columns, then ``a`` and ``y``."""
-    header, rows = _read_rows(path)
+# the bytes of a body the typed pass reads: integers and decimal numbers only
+_TYPED_BYTES = b"0123456789,.+-eE\n"
+
+
+def _typed_body(path) -> tuple[list[str], bytes] | None:
+    """The header and the body of a file that the typed pass reads as the
+    column parser would, else None.
+
+    The body must hold only ``_TYPED_BYTES``, at least one row and no
+    blank line (``np.loadtxt`` skips blank lines, where the column parser
+    reports a row of the wrong arity); the header no quote, carriage
+    return or NUL, so that splitting it at commas is what ``csv`` does.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    head, _, body = data.partition(b"\n")
+    if (
+        not body
+        or body.startswith(b"\n")
+        or b"\n\n" in body
+        or body.translate(None, _TYPED_BYTES)
+        or any(byte in head for byte in (b'"', b"\r", b"\0"))
+    ):
+        return None
+    try:
+        text = head.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        return None
+    return ([h.strip() for h in text.split(",")], body) if text else None
+
+
+def _typed_table(body: bytes, fields: list[tuple]) -> np.ndarray | None:
+    """The body read in one ``np.loadtxt`` pass into the structured dtype
+    ``fields``, or None where a field is no number of its type (a float in
+    an int64 field, an integer beyond int64) or a row has the wrong arity."""
+    try:
+        return np.loadtxt(io.BytesIO(body), dtype=fields, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+
+
+def _trial_covariates(path, header: list[str]) -> tuple[str, ...]:
     if header[-2:] != ["a", "y"]:
         raise ParseError(f"{path}: trial header must end with 'a,y', got {header!r}")
     covariates = tuple(header[:-2])
     if not covariates:
         raise ParseError(f"{path}: trial needs at least one covariate column")
+    return covariates
+
+
+def load_trial(path) -> TrialSample:
+    """Trial CSV: covariate columns, then ``a`` and ``y``.
+
+    A body of integer covariates and arms in {0, 1} is read by one typed
+    pass (see :func:`_typed_body`); every other file goes to the column
+    parser, which alone reports errors with their row and column.
+    """
+    typed = _typed_body(path)
+    if typed is not None:
+        header, body = typed
+        covariates = _trial_covariates(path, header)
+        fields = [("x", np.int64, (len(covariates),)), ("a", np.int64), ("y", np.float64)]
+        table = _typed_table(body, fields)
+        if table is not None and ((table["a"] == 0) | (table["a"] == 1)).all():
+            return TrialSample(covariates, table["x"], table["a"], table["y"])
+    return _parse_trial(path)
+
+
+def _parse_trial(path) -> TrialSample:
+    """The column parser for trial CSVs."""
+    header, rows = _read_rows(path)
+    covariates = _trial_covariates(path, header)
     texts = _columns(header, rows)
     del rows
     a = _parse_column(texts[-2], "a", int, "an integer")
@@ -251,13 +316,36 @@ def _cell_text(value) -> str:
     return str(value)
 
 
-def load_target(path) -> TargetSample:
-    """Target CSV: covariate columns, optional trailing ``y0``."""
-    header, rows = _read_rows(path)
-    has_y0 = header and header[-1] == "y0"
+def _target_covariates(path, header: list[str]) -> tuple[tuple[str, ...], bool]:
+    """The covariates, and whether a trailing ``y0`` column follows them."""
+    has_y0 = bool(header) and header[-1] == "y0"
     covariates = tuple(header[:-1]) if has_y0 else tuple(header)
     if not covariates:
         raise ParseError(f"{path}: target needs at least one covariate column")
+    return covariates, has_y0
+
+
+def load_target(path) -> TargetSample:
+    """Target CSV: covariate columns, optional trailing ``y0``.
+
+    A body of integer covariates is read by one typed pass, as in
+    :func:`load_trial`; every other file goes to the column parser.
+    """
+    typed = _typed_body(path)
+    if typed is not None:
+        header, body = typed
+        covariates, has_y0 = _target_covariates(path, header)
+        fields = [("x", np.int64, (len(covariates),))] + ([("y0", np.float64)] if has_y0 else [])
+        table = _typed_table(body, fields)
+        if table is not None:
+            return TargetSample(covariates, table["x"], table["y0"] if has_y0 else None)
+    return _parse_target(path)
+
+
+def _parse_target(path) -> TargetSample:
+    """The column parser for target CSVs."""
+    header, rows = _read_rows(path)
+    covariates, has_y0 = _target_covariates(path, header)
     texts = _columns(header, rows)
     n = len(rows)
     del rows

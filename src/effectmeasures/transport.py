@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -259,10 +260,12 @@ class _Sample:
         return stack_columns(self.columns, self.n)
 
     def column_indices(self, covariates: Sequence[str]) -> tuple[int, ...]:
-        try:
-            return tuple(self.covariates.index(c) for c in covariates)
-        except ValueError as exc:
-            raise InvariantViolation(str(exc)) from None
+        for name in covariates:
+            if name not in self.covariates:
+                raise InvariantViolation(
+                    f"unknown covariate {name!r}; {type(self).__name__} has {self.covariates!r}"
+                )
+        return tuple(map(self.covariates.index, covariates))
 
     def _arrays(self) -> tuple:
         return self.columns
@@ -330,11 +333,18 @@ class TargetSample(_Sample):
 @dataclass(frozen=True, eq=False)
 class DensityRatio:
     """Empirical target/source frequency ratio per covariate cell, and
-    its value at each trial row (the IPSW weights)."""
+    its value at each trial row (the IPSW weights). ``ratios``, the ratio
+    by cell tuple, is built on first use."""
 
     covariates: tuple[str, ...]
-    ratios: dict[tuple, float]
     at_trial_rows: np.ndarray
+    _cells: _Cells = field(repr=False)
+    _by_code: np.ndarray = field(repr=False)
+
+    @cached_property
+    def ratios(self) -> dict[tuple, float]:
+        seen = np.flatnonzero(self._cells.counts(self._cells.trial))
+        return dict(zip(self._cells.tuples(seen, in_target=False), self._by_code[seen].tolist()))
 
     def __call__(self, cell: tuple) -> float:
         return self.ratios.get(cell, 0.0)
@@ -352,9 +362,22 @@ class GeneralizedEstimate:
 
 def _code_column(source: np.ndarray, target: np.ndarray) -> tuple[int, np.ndarray]:
     """Level count and per-row level codes of one covariate over trial
-    and target rows together; levels in sorted order where they compare."""
+    and target rows together; levels in sorted order where they compare.
+
+    An int64 column whose value range is below its row count is coded
+    without a sort: the levels present are counted by offset from the
+    minimum, and a running count of them gives each offset its code, the
+    code ``np.unique`` would give.
+    """
     if source.dtype != object and target.dtype != object:
-        levels, inverse = np.unique(np.concatenate([source, target]), return_inverse=True)
+        values = np.concatenate([source, target])
+        if values.dtype == np.int64:
+            lo, hi = int(values.min()), int(values.max())
+            if hi - lo < len(values):  # Python ints: hi - lo can exceed int64
+                offsets = values - lo
+                code_of_offset = np.cumsum(np.bincount(offsets) > 0) - 1
+                return int(code_of_offset[-1]) + 1, code_of_offset[offsets]
+        levels, inverse = np.unique(values, return_inverse=True)
         return len(levels), inverse
     values = source.tolist() + target.tolist()
     levels = list(dict.fromkeys(values))
@@ -421,8 +444,7 @@ def estimate_density_ratio(
     seen = np.flatnonzero(src)
     by_code = np.zeros(cells.size)
     by_code[seen] = (tgt[seen] / target.n) / (src[seen] / trial.n)
-    ratios = dict(zip(cells.tuples(seen, in_target=False), by_code[seen].tolist()))
-    return DensityRatio(tuple(covariates), ratios, _frozen(by_code[cells.trial]))
+    return DensityRatio(tuple(covariates), _frozen(by_code[cells.trial]), cells, by_code)
 
 
 def _infer_kind(trial: TrialSample) -> OutcomeKind:

@@ -411,6 +411,27 @@ class TestTransport:
         assert code == EXIT_VALIDATION
         assert out == "" and "duplicate covariate names" in err
 
+    def test_unknown_covariate_is_named(self, capsys, toy_files):
+        trial_path, target_path = toy_files
+        code, out, err = run(
+            capsys,
+            [
+                "transport", "--trial", trial_path, "--target", target_path,
+                "--measure", "rd", "--strategy", "gformula", "--covariates", "typo",
+            ],
+        )
+        assert code == EXIT_VALIDATION
+        assert out == "" and "InvariantViolation" in err
+        assert "'typo'" in err and "('x',)" in err and "tuple.index" not in err
+
+    def test_bom_before_the_trial_header(self, capsys, toy_files, tmp_path):
+        trial_path, target_path = toy_files
+        with_bom = tmp_path / "bom.csv"
+        with_bom.write_bytes(b"\xef\xbb\xbf" + open(trial_path, "rb").read())
+        assert self.estimate(capsys, str(with_bom), target_path, "rd", "gformula") == (
+            self.estimate(capsys, trial_path, target_path, "rd", "gformula")
+        )
+
     def test_duplicate_trial_column_is_validation_error(self, capsys, toy_files, tmp_path):
         _, target_path = toy_files
         trial = tmp_path / "dup.csv"

@@ -3,11 +3,14 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, random_distribution
 from effectmeasures import dataio
-from effectmeasures.errors import InvariantViolation, ParseError
+from effectmeasures.errors import EffectMeasureError, InvariantViolation, ParseError
 from effectmeasures.genmodel import (
     ContinuousOutcomeModel,
     DiscreteCovariateSpace,
@@ -211,6 +214,136 @@ class TestTargetIO:
         path.write_text("x,y0\n0,1.0\n1,NA\n")
         with pytest.raises(InvariantViolation):
             dataio.load_target(path)
+
+
+# Field texts for the parser-agreement test. The clean ones fit the
+# typed pass; each example mixes in at most two of the others, in about
+# half of the fields of their role.
+_CLEAN = {
+    "covariate": ["0", "1", "2", "-3", "+1", "-0", "007", "9223372036854775807"],
+    "a": ["0", "1", "+1", "-0"],
+    "y": ["0", "1", "0.5", "-0.0", "1e-3", "2.25", "-7"],
+}
+_UNCLEAN = [
+    ("covariate", text)
+    for text in (".5", "1e3", "2.0", "1_0", "9223372036854775808", "-9223372036854775809",
+                 '"1"', "NA", "u", "", "1#")
+] + [("a", text) for text in ("2", "-1", "1.0", "1e0", "NA", "")] + [
+    ("y", text) for text in (".5e1", "1e999", "1_0", "NA", "nan", '"1"', "", "1#")
+]
+
+
+@st.composite
+def _csv_text(draw, columns: list[str]) -> str:
+    """A CSV of ``columns`` whose fields, row ends and blank lines may or
+    may not fit the typed pass."""
+    unclean = draw(st.sets(st.sampled_from(_UNCLEAN), max_size=2))
+    fields = {}
+    for role, clean in _CLEAN.items():
+        mixed = sorted(text for r, text in unclean if r == role)
+        fields[role] = st.sampled_from(clean) | st.sampled_from(mixed or clean)
+    roles = [{"a": "a", "y": "y", "y0": "y"}.get(name, "covariate") for name in columns]
+    rows = [
+        ",".join(draw(fields[role]) for role in roles) for _ in range(draw(st.integers(0, 5)))
+    ]
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), "")
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    bom = draw(st.sampled_from(["", "", "\ufeff"]))
+    return bom + newline.join([",".join(columns)] + rows) + draw(st.sampled_from([newline, ""]))
+
+
+def _outcome(load, path):
+    """A loaded sample with its arrays' dtypes and exact values (signed
+    zeros included), or the error's type and message."""
+    try:
+        sample = load(path)
+    except EffectMeasureError as exc:
+        return type(exc), str(exc)
+    return sample, [(a.dtype, repr(a.tolist())) for a in sample._arrays() if a is not None]
+
+
+class TestParserPaths:
+    """The typed pass and the column parser load every file alike."""
+
+    @staticmethod
+    def agree(tmp_path, text, load, parse):
+        path = tmp_path / "sample.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(load, path) == _outcome(parse, path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x,a,y\n0,0,1\n\n1,1,0\n",
+            "x,a,y\n0,0,1#\n1,1,0\n",
+            "x,a,y\n0,0,1\r\n1,1,0\r\n",
+            "x,a,y\r\n0,0,1\n1,1,0\n",
+            '"x",a,y\n0,0,1\n1,1,0\n',
+            "\n0,0,1\n1,1,0\n",
+            "x,a,y\n",
+            "x,a,y\n9223372036854775808,0,1\n1,1,0\n",
+            "x,a,y\n1_0,0,1\n1,1,0\n",
+            "x,a,y\n0,2,1\n1,1,0\n",
+            "x,a,y\n0,0,1e999\n1,1,0\n",
+            "x,a,y\n0,1,1\n1,1,0\n",
+        ],
+    )
+    def test_trial_edges(self, tmp_path, text):
+        self.agree(tmp_path, text, dataio.load_trial, dataio._parse_trial)
+
+    @pytest.mark.parametrize(
+        "text", ["x\n0\n\n1\n", "x\n0\n1#\n", "x,y0\n0,NA\n1,1\n", "x,y0\n0,1#\n", "x,y0\n"]
+    )
+    def test_target_edges(self, tmp_path, text):
+        self.agree(tmp_path, text, dataio.load_target, dataio._parse_target)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), columns=st.sampled_from([["x", "a", "y"], ["x", "z", "a", "y"]]))
+    def test_trial(self, tmp_path_factory, data, columns):
+        text = data.draw(_csv_text(columns))
+        self.agree(tmp_path_factory.mktemp("t"), text, dataio.load_trial, dataio._parse_trial)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), columns=st.sampled_from([["x"], ["x", "y0"], ["x", "z", "y0"]]))
+    def test_target(self, tmp_path_factory, data, columns):
+        text = data.draw(_csv_text(columns))
+        self.agree(tmp_path_factory.mktemp("t"), text, dataio.load_target, dataio._parse_target)
+
+    @pytest.mark.parametrize(
+        "trial_body, target_body",
+        [("0,0,1.0\n1,1,0.0\n", "0,1.0\n1,0.0\n"), ("u,0,1.0\nv,1,0.0\n", "u,1.0\nv,0.0\n")],
+        ids=["typed", "column-parser"],
+    )
+    def test_bom_is_not_part_of_the_first_name(self, tmp_path, trial_body, target_body):
+        path = tmp_path / "sample.csv"
+        path.write_bytes(("\ufeffx,a,y\n" + trial_body).encode("utf-8"))
+        assert dataio.load_trial(path).covariates == ("x",)
+        path.write_bytes(("\ufeffx,y0\n" + target_body).encode("utf-8"))
+        assert dataio.load_target(path).covariates == ("x",)
+
+    def test_save_trial_files_take_the_typed_pass(self, tmp_path, monkeypatch):
+        trial = TrialSample(("x", "z"), ((0, -4), (1, 7), (0, 7)), (0, 1, 1), (0.0, -0.0, 1e-300))
+        path = tmp_path / "trial.csv"
+        dataio.save_trial(trial, path)
+        monkeypatch.setattr(dataio, "_parse_trial", None)
+        assert dataio.load_trial(path) == trial
+
+    def test_memory_of_a_large_integer_file(self, tmp_path):
+        """The typed pass holds one structured array and the file's bytes;
+        the column parser's lists of row texts peak near 17 MB."""
+        rng = np.random.default_rng(5)
+        path = tmp_path / "trial.csv"
+        np.savetxt(path, rng.integers(0, 2, (100_000, 5)), fmt="%d", delimiter=",",
+                   header="lifestyle,stress,gender,a,y", comments="")
+        tracemalloc.start()
+        try:
+            trial = dataio.load_trial(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trial.n == 100_000
+        assert peak < 8e6
 
 
 class TestGrid:

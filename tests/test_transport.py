@@ -40,6 +40,7 @@ from effectmeasures.transport import (
     least_squares_fit,
     plan_adjustment,
 )
+from effectmeasures.transport import _Cells, _code_column
 
 BENEFICIAL = MonotonicityDirection.BENEFICIAL
 HARMFUL = MonotonicityDirection.HARMFUL
@@ -226,6 +227,15 @@ class TestDensityRatio:
         ratio = estimate_density_ratio(oracle_trial, target, ("x",))
         for cell in ((0,), (1,)):
             assert ratio(cell) == pytest.approx(1.0, rel=1e-12)
+
+    def test_ratio_table_is_built_on_first_use(self):
+        trial, target = random_trial_and_target(random.Random(7))
+        ratio = estimate_density_ratio(trial, target, ("i", "tag"))
+        assert "ratios" not in vars(ratio)
+        want = loop_reference.density_ratios(trial, target, ("i", "tag"))
+        assert ratio.ratios.keys() == want.keys()
+        for cell, value in want.items():
+            assert math.isclose(ratio(cell), value, rel_tol=1e-12)
 
 
 class TestExactFrequencyOracle:
@@ -496,6 +506,68 @@ class TestLoopReference:
                 trial, TargetSample(names, (recombined,)), MeasureKind.RD, names
             )
         assert excinfo.value.cells == (recombined,)
+
+
+I64 = np.iinfo(np.int64)
+
+
+def _unique_codes(source, target):
+    levels, inverse = np.unique(np.concatenate([source, target]), return_inverse=True)
+    return len(levels), inverse
+
+
+class TestIntegerCoding:
+    """int64 columns coded by counting get the codes ``np.unique`` gives."""
+
+    @pytest.mark.parametrize(
+        "source, target, sorts",
+        [
+            ([-3, -1, -3, 0], [-1, 1], False),
+            ([7, 7], [7], False),
+            ([0, 3], [1], True),  # the range, 3, is not below the row count
+            ([I64.max, I64.max - 2], [I64.max - 1], False),
+            ([I64.min, I64.min + 1], [I64.min], False),
+            ([I64.min, I64.max], [0], True),  # max - min overflows int64
+        ],
+    )
+    def test_codes_equal_unique_codes(self, monkeypatch, source, target, sorts):
+        source, target = np.array(source, np.int64), np.array(target, np.int64)
+        levels, inverse = _unique_codes(source, target)
+        unique, calls = np.unique, []
+        monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(a) or unique(*a, **kw))
+        size, codes = _code_column(source, target)
+        assert type(size) is int and size == levels
+        assert codes.dtype == inverse.dtype and codes.tolist() == inverse.tolist()
+        assert bool(calls) is sorts
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        base=st.integers(I64.min, I64.max - 40),
+        offsets=st.lists(st.integers(0, 40), min_size=2, max_size=40),
+        data=st.data(),
+    )
+    def test_near_and_far_ranges(self, base, offsets, data):
+        values = np.array([base + k for k in offsets], np.int64)
+        split = data.draw(st.integers(1, len(values) - 1))
+        source, target = values[:split], values[split:]
+        size, codes = _code_column(source, target)
+        levels, inverse = _unique_codes(source, target)
+        assert size == levels and codes.tolist() == inverse.tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_cells_mean_the_same_cells_in_sorted_order(self, seed):
+        rng = np.random.default_rng(seed)
+        names = ("u", "v", "w")
+        spans = rng.integers(1, 50, 3)
+        trial_x = rng.integers(-spans, spans, (int(rng.integers(4, 60)), 3))
+        target_x = rng.integers(-spans, spans, (int(rng.integers(1, 60)), 3))
+        a = np.arange(len(trial_x)) % 2
+        trial = TrialSample(names, trial_x, a, np.zeros(len(trial_x)))
+        cells = _Cells(trial, TargetSample(names, target_x), names)
+        _, by_row = np.unique(np.vstack([trial_x, target_x]), axis=0, return_inverse=True)
+        _, by_code = np.unique(np.concatenate([cells.trial, cells.target]), return_inverse=True)
+        assert by_code.tolist() == by_row.tolist()
 
 
 class TestColumnarSamples:
