@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import logging
+import warnings
 from operator import itemgetter
 
 import numpy as np
@@ -56,7 +57,11 @@ def _fmt(value: float) -> str:
 
 def _read_rows(path) -> tuple[list[str], list[list[str]]]:
     with open(path, encoding="utf-8-sig", newline="") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:  # a field beyond csv's size limit
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ParseError(f"{path}: empty file, header expected")
     header = [h.strip() for h in rows[0]]
@@ -249,10 +254,17 @@ def _typed_body(path) -> tuple[list[str], bytes] | None:
 def _typed_table(body: bytes, fields: list[tuple]) -> np.ndarray | None:
     """The body read in one ``np.loadtxt`` pass into the structured dtype
     ``fields``, or None where a field is no number of its type (a float in
-    an int64 field, an integer beyond int64) or a row has the wrong arity."""
+    an int64 field, an integer beyond int64) or a row has the wrong arity.
+
+    NumPy 1.23 to 1.26 parse such an int64 field as a float, cast it and
+    only emit a DeprecationWarning; raised as an error here, it stops the
+    read, so no cast value is ever returned.
+    """
     try:
-        return np.loadtxt(io.BytesIO(body), dtype=fields, delimiter=",", comments=None, ndmin=1)
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(io.BytesIO(body), dtype=fields, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, DeprecationWarning):
         return None
 
 

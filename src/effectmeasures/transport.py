@@ -334,17 +334,18 @@ class TargetSample(_Sample):
 class DensityRatio:
     """Empirical target/source frequency ratio per covariate cell, and
     its value at each trial row (the IPSW weights). ``ratios``, the ratio
-    by cell tuple, is built on first use."""
+    by cell tuple, is read on first use from the trial's covariate columns
+    and ``at_trial_rows``."""
 
     covariates: tuple[str, ...]
     at_trial_rows: np.ndarray
-    _cells: _Cells = field(repr=False)
-    _by_code: np.ndarray = field(repr=False)
+    _trial_columns: tuple[np.ndarray, ...] = field(repr=False)
 
     @cached_property
     def ratios(self) -> dict[tuple, float]:
-        seen = np.flatnonzero(self._cells.counts(self._cells.trial))
-        return dict(zip(self._cells.tuples(seen, in_target=False), self._by_code[seen].tolist()))
+        columns = [column.tolist() for column in self._trial_columns]
+        cells = zip(*columns) if columns else [()] * len(self.at_trial_rows)
+        return dict(zip(cells, self.at_trial_rows.tolist()))
 
     def __call__(self, cell: tuple) -> float:
         return self.ratios.get(cell, 0.0)
@@ -415,17 +416,14 @@ class _Cells:
         self.size = size
         self.trial, self.target = code[: trial.n], code[trial.n :]
 
-    def tuples(self, codes: np.ndarray, in_target: bool) -> list[tuple]:
-        """Plain cell tuples for ``codes``, read from the first trial (or
-        target) row in each cell."""
-        rows_codes, columns = (
-            (self.target, self.target_columns) if in_target else (self.trial, self.trial_columns)
-        )
-        present, first = np.unique(rows_codes, return_index=True)
+    def target_tuples(self, codes: np.ndarray) -> list[tuple]:
+        """Plain cell tuples for ``codes``, read from the first target row
+        in each cell."""
+        present, first = np.unique(self.target, return_index=True)
         rows = first[np.searchsorted(present, codes)]
-        if not columns:
+        if not self.target_columns:
             return [()] * len(rows)
-        return list(zip(*(column[rows].tolist() for column in columns)))
+        return list(zip(*(column[rows].tolist() for column in self.target_columns)))
 
     def counts(self, codes: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         return np.bincount(codes, weights=weights, minlength=self.size)
@@ -440,11 +438,12 @@ def estimate_density_ratio(
     tgt = cells.counts(cells.target)
     unseen = np.flatnonzero((tgt > 0) & (src == 0))
     if unseen.size:
-        raise SupportViolation(cells.tuples(unseen, in_target=True))
+        raise SupportViolation(cells.target_tuples(unseen))
     seen = np.flatnonzero(src)
     by_code = np.zeros(cells.size)
     by_code[seen] = (tgt[seen] / target.n) / (src[seen] / trial.n)
-    return DensityRatio(tuple(covariates), _frozen(by_code[cells.trial]), cells, by_code)
+    at_trial_rows = _frozen(by_code[cells.trial])
+    return DensityRatio(tuple(covariates), at_trial_rows, tuple(cells.trial_columns))
 
 
 def _infer_kind(trial: TrialSample) -> OutcomeKind:
@@ -465,7 +464,7 @@ def _cell_means(trial: TrialSample, target: TargetSample, covariates: Sequence[s
     mu0, mu1 = np.divide(total, count, out=np.full(count.shape, np.nan), where=count > 0)
     missing = np.flatnonzero((cells.counts(cells.target) > 0) & (np.isnan(mu0) | np.isnan(mu1)))
     if missing.size:
-        raise SupportViolation(cells.tuples(missing, in_target=True))
+        raise SupportViolation(cells.target_tuples(missing))
     return cells, mu0, mu1
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -287,9 +288,32 @@ class TestParserPaths:
             "x,a,y\n0,2,1\n1,1,0\n",
             "x,a,y\n0,0,1e999\n1,1,0\n",
             "x,a,y\n0,1,1\n1,1,0\n",
+            "x,a,y\n0.5,0,1\n1,1,0\n",
+            "x,a,y\n0,1.0,1\n1,1,0\n",
+            "x,a,y\n1e3,0,1\n1,1,0\n",
         ],
     )
     def test_trial_edges(self, tmp_path, text):
+        self.agree(tmp_path, text, dataio.load_trial, dataio._parse_trial)
+
+    def test_a_field_beyond_the_csv_size_limit_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "trial.csv"
+        path.write_text("x,a,y\nu,0," + "7" * 140_000 + "\n")
+        with pytest.raises(ParseError, match="line 2: field larger than field limit"):
+            dataio.load_trial(path)
+
+    @pytest.mark.parametrize("text", ["x,a,y\n0.5,0,1\n1,1,0\n", "x,a,y\n0,1.0,1\n1,1,0\n"])
+    def test_a_loadtxt_that_casts_floats_with_a_warning(self, tmp_path, monkeypatch, text):
+        """NumPy 1.23 to 1.26 read float text into an int64 field as its
+        cast value and only warn; such a read must fall back, not load."""
+
+        def casting_loadtxt(fh, dtype, **kwargs):
+            rows = fh.read().splitlines()
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+            return np.zeros(len(rows), dtype=dtype)
+
+        monkeypatch.setattr(dataio.np, "loadtxt", casting_loadtxt)
         self.agree(tmp_path, text, dataio.load_trial, dataio._parse_trial)
 
     @pytest.mark.parametrize(

@@ -228,11 +228,12 @@ class TestDensityRatio:
         for cell in ((0,), (1,)):
             assert ratio(cell) == pytest.approx(1.0, rel=1e-12)
 
-    def test_ratio_table_is_built_on_first_use(self):
+    @pytest.mark.parametrize("covariates", [("i", "tag"), ()])
+    def test_ratio_table_is_built_on_first_use(self, covariates):
         trial, target = random_trial_and_target(random.Random(7))
-        ratio = estimate_density_ratio(trial, target, ("i", "tag"))
+        ratio = estimate_density_ratio(trial, target, covariates)
         assert "ratios" not in vars(ratio)
-        want = loop_reference.density_ratios(trial, target, ("i", "tag"))
+        want = loop_reference.density_ratios(trial, target, covariates)
         assert ratio.ratios.keys() == want.keys()
         for cell, value in want.items():
             assert math.isclose(ratio(cell), value, rel_tol=1e-12)
