@@ -4,9 +4,10 @@ Subcommands: ``measures``, ``collapse``, ``plan``, ``transport``,
 ``simulate``, ``grid``. Human-readable tables by default; ``--json``
 switches stdout to JSON. Diagnostics go to stderr.
 
-Exit codes: 0 success, 2 validation failure, 3 measure/plan semantics
-(non-collapsible, undefined measure, missing control outcomes),
-4 support violation, 5 I/O failure.
+Exit codes: 0 success, 5 I/O failure, and for a library error the
+``exit_code`` its class declares (see :mod:`effectmeasures.errors`):
+2 validation failure, 3 measure/plan semantics (non-collapsible,
+undefined measure, missing control outcomes), 4 support violation.
 """
 
 from __future__ import annotations
@@ -18,18 +19,7 @@ import math
 import sys
 
 from . import dataio, simbench
-from .errors import (
-    DirectionViolated,
-    EffectMeasureError,
-    InvariantViolation,
-    MissingTargetControlOutcome,
-    NonCollapsible,
-    NotIdentifiable,
-    ParseError,
-    SupportViolation,
-    UndefinedMeasure,
-    UnknownScenario,
-)
+from .errors import EffectMeasureError, NonCollapsible, SupportViolation
 from .genmodel import MonotonicityDirection
 from .measures import (
     MeasureKind,
@@ -50,18 +40,10 @@ from .strata import (
 from .transport import Learner, Strategy, plan_adjustment
 
 EXIT_OK = 0
-EXIT_VALIDATION = 2
-EXIT_SEMANTICS = 3
-EXIT_SUPPORT = 4
+EXIT_VALIDATION = EffectMeasureError.exit_code
+EXIT_SEMANTICS = NonCollapsible.exit_code
+EXIT_SUPPORT = SupportViolation.exit_code
 EXIT_IO = 5
-
-_SEMANTIC_ERRORS = (
-    NonCollapsible,
-    UndefinedMeasure,
-    MissingTargetControlOutcome,
-    NotIdentifiable,
-    DirectionViolated,
-)
 
 
 def _enum_type(kind: type[enum.Enum], error: str):
@@ -342,21 +324,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     try:
         return args.run(args)
-    except SupportViolation as exc:
-        print(f"SupportViolation: {exc}", file=sys.stderr)
-        return EXIT_SUPPORT
-    except _SEMANTIC_ERRORS as exc:
+    except EffectMeasureError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SEMANTICS
-    except (ParseError, InvariantViolation, UnknownScenario) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return exc.exit_code
     except OSError as exc:
         print(f"IOError: {exc}", file=sys.stderr)
         return EXIT_IO
-    except EffectMeasureError as exc:  # anything uncategorized
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -62,24 +62,12 @@ def _read_rows(path) -> tuple[list[str], list[list[str]]]:
             rows = list(reader)
         except csv.Error as exc:  # a field beyond csv's size limit
             raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:  # line_num reads 0 when the first chunk fails
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
     if not rows:
         raise ParseError(f"{path}: empty file, header expected")
     header = [h.strip() for h in rows[0]]
     return header, rows[1:]
-
-
-def _parse_float(text: str, row: int, column: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(f"expected a number, got {text!r}", row=row, column=column) from None
-
-
-def _parse_int(text: str, row: int, column: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {text!r}", row=row, column=column) from None
 
 
 def _parse_value(text: str):
@@ -112,22 +100,11 @@ def load_strata(path, kind: OutcomeKind | None = None) -> StratifiedDistribution
     if not rows:
         raise ParseError(f"{path}: no data rows")
 
-    labels: list[str] = []
-    proportions: list[float] = []
-    payload: list[tuple] = []
-    for i, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise ParseError(f"expected {len(header)} fields, got {len(row)}", row=i)
-        labels.append(row[0])
-        proportions.append(_parse_float(row[1], i, "proportion"))
-        if variant == "counts":
-            counts = tuple(_parse_int(v, i, c) for v, c in zip(row[2:], header[2:]))
-            payload.append(((counts[0], counts[1]), (counts[2], counts[3])))
-        else:
-            payload.append((
-                _parse_float(row[2], i, "mu0"),
-                _parse_float(row[3], i, "mu1"),
-            ))
+    texts = _columns(header, rows)
+    labels = texts[0]
+    proportions = _parse_column(texts[1], "proportion", float, "a number")
+    parse, expected = (int, "an integer") if variant == "counts" else (float, "a number")
+    values = [_parse_column(t, c, parse, expected) for t, c in zip(texts[2:], header[2:])]
 
     total = sum(proportions)
     if abs(total - 1.0) > 1e-6:
@@ -140,20 +117,20 @@ def load_strata(path, kind: OutcomeKind | None = None) -> StratifiedDistribution
 
     if variant == "counts":
         strata = tuple(
-            Stratum.from_counts(label, p, counts)
-            for label, p, counts in zip(labels, proportions, payload)
+            Stratum.from_counts(label, p, ((n11, n10), (n01, n00)))
+            for label, p, n11, n10, n01, n00 in zip(labels, proportions, *values)
         )
         return StratifiedDistribution(strata, OutcomeKind.BINARY)
 
     if kind is None:
         kind = (
             OutcomeKind.BINARY
-            if all(0.0 <= v <= 1.0 for pair in payload for v in pair)
+            if all(0.0 <= v <= 1.0 for column in values for v in column)
             else OutcomeKind.CONTINUOUS
         )
     strata = tuple(
         Stratum(label, p, OutcomePair(mu0, mu1, kind))
-        for label, p, (mu0, mu1) in zip(labels, proportions, payload)
+        for label, p, mu0, mu1 in zip(labels, proportions, *values)
     )
     return StratifiedDistribution(strata, kind)
 
@@ -406,8 +383,19 @@ def emit_grid(resolution: int, path) -> None:
             fh.write(rows.replace("nan", NA) + "\n")
 
 
-def _cells_from_json(raw) -> tuple[tuple, ...]:
-    return tuple(tuple(cell) for cell in raw)
+def _read_json(path, build):
+    """``build`` applied to the decoded JSON of ``path``. Content that
+    ``build`` cannot take, such as a missing key, a wrong JSON type, a
+    non-numeric value or text that is not UTF-8, is a ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return build(json.load(fh))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from None
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ParseError(f"{path}: malformed content: {exc}") from None
 
 
 def load_model(path):
@@ -419,13 +407,9 @@ def load_model(path):
     "entanglement" (b, m_b, m_g) or "logit" (b, m); per-cell function
     values are vectors aligned with ``cells``.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from None
-    try:
-        cells = _cells_from_json(raw["cells"])
+
+    def build(raw):
+        cells = tuple(tuple(cell) for cell in raw["cells"])
         space = DiscreteCovariateSpace(
             tuple(raw["covariates"]),
             cells,
@@ -448,9 +432,9 @@ def load_model(path):
             model = LogitOutcomeModel(fn("b"), fn("m"))
         else:
             raise ParseError(f"{path}: unknown model type {mtype!r}")
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing key {exc}") from None
-    return space, model
+        return space, model
+
+    return _read_json(path, build)
 
 
 def save_model(space: DiscreteCovariateSpace, model, path) -> None:
@@ -481,17 +465,15 @@ def save_model(space: DiscreteCovariateSpace, model, path) -> None:
 def load_roles(path) -> CovariateRoles:
     """JSON: ``covariates`` plus ``baseline``/``modulator``/``shifted``
     name lists."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from None
-    try:
-        return CovariateRoles(
-            tuple(raw["covariates"]),
-            frozenset(raw["baseline"]),
-            frozenset(raw["modulator"]),
-            frozenset(raw["shifted"]),
-        )
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing key {exc}") from None
+
+    def build(raw) -> CovariateRoles:
+        lists = []
+        for key in ("covariates", "baseline", "modulator", "shifted"):
+            names = raw[key]
+            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                raise ParseError(f"{path}: {key} must be a JSON list of names, got {names!r}")
+            lists.append(names)
+        covariates, *roles = lists
+        return CovariateRoles(tuple(covariates), *map(frozenset, roles))
+
+    return _read_json(path, build)

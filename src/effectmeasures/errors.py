@@ -2,6 +2,9 @@
 
 Every failure mode callers are expected to branch on gets its own class;
 generic ``ValueError``/``TypeError`` are reserved for programming errors.
+Each class declares the exit status the CLI gives it in ``exit_code``:
+2 for validation failures, 3 for measure/plan semantics, 4 for support
+violations.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 class EffectMeasureError(Exception):
     """Base class for all library-specific errors."""
 
+    exit_code = 2
+
 
 class UndefinedMeasure(EffectMeasureError):
     """A measure is requested outside its mathematical domain.
@@ -17,6 +22,8 @@ class UndefinedMeasure(EffectMeasureError):
     Raised on division by zero, boundary probabilities, or a
     measure/outcome-kind mismatch. Carries a human-readable ``reason``.
     """
+
+    exit_code = 3
 
     def __init__(self, reason: str):
         super().__init__(reason)
@@ -31,6 +38,8 @@ class InvariantViolation(EffectMeasureError):
 class NonCollapsible(EffectMeasureError):
     """The measure admits no weighted-average decomposition over strata."""
 
+    exit_code = 3
+
     def __init__(self, measure) -> None:
         super().__init__(f"{measure} is not collapsible")
         self.measure = measure
@@ -44,14 +53,20 @@ class DirectionViolated(EffectMeasureError):
     """A monotonicity direction was asserted but the model (or the data)
     contradicts it."""
 
+    exit_code = 3
+
 
 class NotIdentifiable(EffectMeasureError):
     """The requested quantity cannot be recovered from the given
     observables (e.g. switch probabilities without monotonicity)."""
 
+    exit_code = 3
+
 
 class SupportViolation(EffectMeasureError):
     """Target covariate cells are unobserved in the source sample."""
+
+    exit_code = 4
 
     def __init__(self, cells) -> None:
         self.cells = tuple(cells)
@@ -65,6 +80,8 @@ class SingularDesign(EffectMeasureError):
 class MissingTargetControlOutcome(EffectMeasureError):
     """The estimator needs control outcomes in the target sample but the
     sample carries none."""
+
+    exit_code = 3
 
 
 class ParseError(EffectMeasureError):

@@ -431,6 +431,8 @@ def run_scenario(
     for name, value in (("reps", reps), ("n", n), ("m", m), ("workers", workers)):
         if value < 1:
             raise InvariantViolation(f"{name} must be >= 1, got {value}")
+    if seed < 0:
+        raise InvariantViolation(f"seed must be >= 0, got {seed}")
     _validate_config(scenario, config)
 
     if workers > 1:

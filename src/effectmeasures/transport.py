@@ -501,10 +501,12 @@ def _gformula_means(trial: TrialSample, target: TargetSample, covariates, learne
             math.fsum(mu1[cells.target].tolist()) / target.n,
         )
     source = [trial.columns[i] for i in trial.column_indices(covariates)]
+    target_columns = [target.columns[i] for i in target.column_indices(covariates)]
+    for name, s_column, t_column in zip(covariates, source, target_columns):
+        if object in (s_column.dtype, t_column.dtype):
+            raise InvariantViolation(f"least squares needs numeric covariates; {name!r} is not")
     # a C-contiguous design keeps the BLAS product, and so the mean, bit-stable
-    tgt = np.column_stack(
-        [np.ones(target.n)] + [target.columns[i] for i in target.column_indices(covariates)]
-    ).astype(float)
+    tgt = np.column_stack([np.ones(target.n)] + target_columns).astype(float)
     means = []
     for arm in (0, 1):
         rows = trial.a == arm

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conftest import FIXTURES
-from effectmeasures import cli, dataio
+from effectmeasures import cli, dataio, errors
 from effectmeasures.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -627,3 +627,98 @@ class TestGrid:
         )
         assert code == EXIT_VALIDATION
         assert "InvariantViolation" in err
+
+
+_ROLE_ARGS = ["--measure", "sr", "--outcome", "binary", "--strategy", "local", "--json"]
+_BOUNDARY_INPUTS = {
+    # id: (files by name, argv with {name} for a file's path, error type); each exits 2
+    "strata-not-utf8": (
+        {"strata": b"\xff\xfe"},
+        ["collapse", "--strata", "{strata}", "--measure", "rd"],
+        "ParseError",
+    ),
+    "trial-not-utf8": (
+        {"trial": b"x,a,y\n0,0,1\n\xff,1,0\n", "target": b"x\n0\n1\n"},
+        ["transport", "--trial", "{trial}", "--target", "{target}",
+         "--measure", "rd", "--strategy", "gformula", "--covariates", "x"],
+        "ParseError",
+    ),
+    "negative-seed": (
+        {},
+        ["simulate", "--scenario", "roulette-heterogeneous", "--seed", "-1",
+         "--reps", "1", "--n", "50", "--m", "50", "--out", "{report}"],
+        "InvariantViolation",
+    ),
+    "least-squares-string-covariate": (
+        {"trial": b"x,tag,a,y\n0,u,0,1\n1,v,1,0\n0,u,1,1\n1,v,0,0\n",
+         "target": b"x,tag\n0,u\n1,v\n"},
+        ["transport", "--trial", "{trial}", "--target", "{target}",
+         "--measure", "rd", "--strategy", "gformula", "--learner", "least-squares",
+         "--covariates", "tag"],
+        "InvariantViolation",
+    ),
+    "roles-number-for-names": (
+        {"roles": b'{"covariates": 5, "baseline": [], "modulator": [], "shifted": []}'},
+        ["plan", "--roles", "{roles}", *_ROLE_ARGS],
+        "ParseError",
+    ),
+    "roles-top-level-list": (
+        {"roles": b"[1, 2]"},
+        ["plan", "--roles", "{roles}", *_ROLE_ARGS],
+        "ParseError",
+    ),
+    "roles-nested-list": (
+        {"roles": b'{"covariates": ["x"], "baseline": [["x"]], "modulator": [], "shifted": []}'},
+        ["plan", "--roles", "{roles}", *_ROLE_ARGS],
+        "ParseError",
+    ),
+    "roles-string-for-names": (
+        {"roles": b'{"covariates": "ls", "baseline": "l", "modulator": "s", "shifted": "ls"}'},
+        ["plan", "--roles", "{roles}", *_ROLE_ARGS],
+        "ParseError",
+    ),
+}
+
+
+class TestInputBoundary:
+    """Bad input exits with its documented status and a one-line error,
+    never with a traceback."""
+
+    @pytest.mark.parametrize("case", list(_BOUNDARY_INPUTS))
+    def test_bad_input_exits_with_its_status(self, capsys, tmp_path, case):
+        files, argv, error_type = _BOUNDARY_INPUTS[case]
+        for name, content in files.items():
+            (tmp_path / name).write_bytes(content)
+        paths = {name: str(tmp_path / name) for name in ["report", *files]}
+        code, out, err = run(capsys, [arg.format_map(paths) for arg in argv])
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.splitlines()[-1].startswith(f"{error_type}:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "error",
+        sorted(
+            (cls for cls in vars(errors).values()
+             if isinstance(cls, type) and issubclass(cls, errors.EffectMeasureError)),
+            key=lambda cls: cls.__name__,
+        ),
+        ids=lambda cls: cls.__name__,
+    )
+    def test_each_error_class_keeps_its_exit_status(self, capsys, monkeypatch, error):
+        want = {
+            "SupportViolation": 4,
+            "NonCollapsible": 3,
+            "UndefinedMeasure": 3,
+            "MissingTargetControlOutcome": 3,
+            "NotIdentifiable": 3,
+            "DirectionViolated": 3,
+        }.get(error.__name__, 2)
+
+        def raise_it(args):
+            raise error("planted")
+
+        monkeypatch.setattr(cli, "_cmd_measures", raise_it)
+        code, _, err = run(capsys, ["measures", "--mu0", "0.2", "--mu1", "0.1"])
+        assert code == want
+        assert err.startswith(f"{error.__name__}: ")

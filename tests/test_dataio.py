@@ -97,6 +97,24 @@ class TestLoadStrata:
         assert excinfo.value.row == 3
         assert excinfo.value.column == "proportion"
 
+    @pytest.mark.parametrize(
+        "body, row, column",
+        [
+            # the first bad field of the first bad column, not of the first bad row
+            ("a,0.5,x,0.1\nb,oops,0.3,0.2\n", 3, "proportion"),
+            ("a,0.5,0.2,0.1\nb,0.5,0.3,y\nc,0.0,z,0.2\n", 4, "mu0"),
+            # a row of the wrong arity before any bad field
+            ("a,oops,0.2,0.1\nb,0.5,0.3\n", 3, None),
+        ],
+        ids=["across-rows", "across-columns", "arity-first"],
+    )
+    def test_several_bad_fields_report_arity_then_columns(self, tmp_path, body, row, column):
+        path = tmp_path / "bad.csv"
+        path.write_text("stratum,proportion,mu0,mu1\n" + body)
+        with pytest.raises(ParseError) as excinfo:
+            dataio.load_strata(path)
+        assert (excinfo.value.row, excinfo.value.column) == (row, column)
+
 
 class TestStrataRoundtrip:
     def test_summary_roundtrip_exact(self, tmp_path):
@@ -513,6 +531,21 @@ class TestModelIO:
             )
         )
         with pytest.raises(ParseError):
+            dataio.load_model(path)
+
+    def test_non_numeric_model_value_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "covariates": ["x"],
+                    "cells": [[0]],
+                    "populations": {"pop": [1.0]},
+                    "model": {"type": "logit", "b": ["high"], "m": [1.0]},
+                }
+            )
+        )
+        with pytest.raises(ParseError, match="malformed content"):
             dataio.load_model(path)
 
 
