@@ -27,16 +27,9 @@ from .measures import (
     OutcomeKind,
     OutcomePair,
     all_measures,
-    compute_measure,
     swap_labels,
 )
-from .strata import (
-    check_logic_respecting,
-    collapse,
-    collapsibility_weights,
-    marginal_pair,
-    naive_average,
-)
+from .strata import StratifiedMeasure
 from .transport import Learner, Strategy, plan_adjustment
 
 EXIT_OK = 0
@@ -115,15 +108,15 @@ def _cmd_measures(args) -> int:
 def _cmd_collapse(args) -> int:
     dist = dataio.load_strata(args.strata)
     measure = args.measure
+    evaluated = StratifiedMeasure(measure, dist)
     try:
-        weights = collapsibility_weights(measure, dist)
+        weights = evaluated.weights()
     except NonCollapsible:
         weights = None
     if weights is None:
-        signed = naive_average(measure, dist)
+        signed = evaluated.naive_average()
         magnitude = math.fsum(
-            s.proportion * abs(compute_measure(measure, s.pair).value)
-            for s in dist.strata
+            s.proportion * abs(v) for s, v in zip(dist.strata, evaluated.values)
         )
         print(
             f"{measure.value} is not collapsible: no weighted average of stratum "
@@ -138,20 +131,20 @@ def _cmd_collapse(args) -> int:
         record = {
             "measure": measure.value,
             "collapsible": False,
-            "marginal": compute_measure(measure, marginal_pair(dist)).value,
+            "marginal": evaluated.marginal.value,
             "naive_average": signed,
             "naive_magnitude_average": magnitude,
         }
     else:
-        collapsed = collapse(measure, dist)
+        collapsed = evaluated.collapse()
         record = {
             "measure": measure.value,
             "weights": {s.label: w for s, w in zip(dist.strata, weights.weights)},
             "collapsed": collapsed.value,
-            "marginal": compute_measure(measure, marginal_pair(dist)).value,
+            "marginal": evaluated.marginal.value,
         }
     if args.check_logic:
-        report = check_logic_respecting(measure, dist)
+        report = evaluated.logic()
         record["logic_respecting"] = report.respected
         record["stratum_range"] = [report.low, report.high]
     if args.json:

@@ -70,16 +70,30 @@ def _read_rows(path) -> tuple[list[str], list[list[str]]]:
     return header, rows[1:]
 
 
+def _plain(texts: list[str]) -> bool:
+    """Whether no field of ``texts`` has an ``_`` or a non-ASCII
+    character other than surrounding whitespace. Python's ``int`` and
+    ``float`` read ``1_000`` and non-ASCII digits as numbers; this format
+    has neither, while whitespace is left to ``int`` and ``float``."""
+    joined = "".join(texts)
+    if joined.isascii():
+        return "_" not in joined
+    return all("_" not in text and text.strip().isascii() for text in texts)
+
+
 def _parse_value(text: str):
-    """Covariate values: int if int-shaped, else float, else the string."""
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+    """Covariate values: int if int-shaped, else float, else the string.
+    A number in a form this format does not have (see :func:`_plain`)
+    raises ValueError."""
+    for parse in (int, float):
+        try:
+            value = parse(text)
+        except ValueError:
+            continue
+        if not _plain([text]):
+            raise ValueError(text)
+        return value
+    return text
 
 
 def load_strata(path, kind: OutcomeKind | None = None) -> StratifiedDistribution:
@@ -165,36 +179,52 @@ def _columns(header: list[str], rows: list[list[str]]) -> list[list[str]]:
 
 
 def _parse_column(texts: list[str], column: str, parse, expected: str) -> list:
-    """``parse`` applied to a column; the first field it rejects is reported
-    with its row."""
+    """``parse`` applied to a column of plain fields (see :func:`_plain`);
+    the first field it rejects is reported with its row."""
     try:
+        if not _plain(texts):
+            raise ValueError
         return list(map(parse, texts))
     except ValueError:
         for i, text in enumerate(texts, start=2):
             try:
+                if not _plain([text]):
+                    raise ValueError
                 parse(text)
             except ValueError:
                 raise ParseError(f"expected {expected}, got {text!r}", row=i, column=column) from None
         raise
 
 
-def _covariate_column(texts: list[str]):
+def _covariate_column(texts: list[str], column: str):
     """Covariate values by the rule of :func:`_parse_value`, tried on the
-    whole column first."""
-    try:
-        return np.fromiter(map(int, texts), np.int64, len(texts))
-    except OverflowError:  # beyond int64: exact Python ints, cell by cell
-        return [_parse_value(text) for text in texts]
-    except ValueError:
-        pass
-    try:
-        return np.fromiter(map(float, texts), np.float64, len(texts))
-    except ValueError:
-        return [_parse_value(text) for text in texts]
+    whole column first; the first number in a form this format does not
+    have is reported with its row."""
+    if _plain(texts):
+        try:
+            return np.fromiter(map(int, texts), np.int64, len(texts))
+        except OverflowError:  # beyond int64: exact Python ints, cell by cell
+            pass
+        except ValueError:
+            try:
+                return np.fromiter(map(float, texts), np.float64, len(texts))
+            except ValueError:
+                pass
+    values = []
+    for i, text in enumerate(texts, start=2):
+        try:
+            values.append(_parse_value(text))
+        except ValueError:
+            raise ParseError(
+                f"expected a number in ASCII digits without '_', got {text!r}",
+                row=i,
+                column=column,
+            ) from None
+    return values
 
 
-def _covariate_rows(texts: list[list[str]], n: int):
-    return stack_columns([_covariate_column(t) for t in texts], n)
+def _covariate_rows(texts: list[list[str]], covariates: tuple[str, ...], n: int):
+    return stack_columns([_covariate_column(t, c) for t, c in zip(texts, covariates)], n)
 
 
 # the bytes of a body the typed pass reads: integers and decimal numbers only
@@ -267,6 +297,7 @@ def load_trial(path) -> TrialSample:
         covariates = _trial_covariates(path, header)
         fields = [("x", np.int64, (len(covariates),)), ("a", np.int64), ("y", np.float64)]
         table = _typed_table(body, fields)
+        del typed, body  # the sample copies the table: free the file's bytes first
         if table is not None and ((table["a"] == 0) | (table["a"] == 1)).all():
             return TrialSample(covariates, table["x"], table["a"], table["y"])
     return _parse_trial(path)
@@ -283,7 +314,7 @@ def _parse_trial(path) -> TrialSample:
         i, ai = next((i, ai) for i, ai in enumerate(a, start=2) if ai not in (0, 1))
         raise InvariantViolation(f"{path}: row {i}: a must be 0 or 1, got {ai}")
     y = _parse_column(texts[-1], "y", float, "a number")
-    return TrialSample(covariates, _covariate_rows(texts[:-2], len(a)), a, y)
+    return TrialSample(covariates, _covariate_rows(texts[:-2], covariates, len(a)), a, y)
 
 
 def save_trial(trial: TrialSample, path) -> None:
@@ -326,6 +357,7 @@ def load_target(path) -> TargetSample:
         covariates, has_y0 = _target_covariates(path, header)
         fields = [("x", np.int64, (len(covariates),))] + ([("y0", np.float64)] if has_y0 else [])
         table = _typed_table(body, fields)
+        del typed, body  # the sample copies the table: free the file's bytes first
         if table is not None:
             return TargetSample(covariates, table["x"], table["y0"] if has_y0 else None)
     return _parse_target(path)
@@ -347,7 +379,7 @@ def _parse_target(path) -> TargetSample:
             raise InvariantViolation(
                 f"{path}: row {missing + 2}: y0 must cover every row or the column must be absent"
             )
-    return TargetSample(covariates, _covariate_rows(texts, n), y0)
+    return TargetSample(covariates, _covariate_rows(texts, covariates, n), y0)
 
 
 def save_target(target: TargetSample, path) -> None:
@@ -371,13 +403,14 @@ def emit_grid(resolution: int, path) -> None:
     if resolution < 2:
         raise InvariantViolation("resolution must be >= 2")
     axis = np.arange(1, resolution + 1) * (1.0 / (resolution + 1))
-    axis_text = list(map(_fmt, axis.tolist()))
+    # tolist() gives Python floats, whose repr is the shortest round trip
+    axis_text = list(map(repr, axis.tolist()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(["mu0", "mu1"] + [m.value for m in MeasureKind]) + "\n")
         for mu0, mu0_text in zip(axis.tolist(), axis_text):
             table = measure_table(np.full(resolution, mu0), axis, OutcomeKind.BINARY)
             columns = [[mu0_text] * resolution, axis_text]
-            columns += [map(_fmt, values.tolist()) for values, _ in table.values()]
+            columns += [map(repr, values.tolist()) for values, _ in table.values()]
             rows = "\n".join(map(",".join, zip(*columns)))
             # undefined values are NaN, and no other float's repr contains "nan"
             fh.write(rows.replace("nan", NA) + "\n")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvariantViolation, NonCollapsible, UndefinedMeasure
 from .genmodel import expit
@@ -29,6 +30,7 @@ __all__ = [
     "StratifiedDistribution",
     "CollapseWeights",
     "LogicReport",
+    "StratifiedMeasure",
     "marginal_pair",
     "collapsibility_weights",
     "collapse",
@@ -147,8 +149,64 @@ def marginal_pair(dist: StratifiedDistribution) -> OutcomePair:
     return OutcomePair(mu0, mu1, dist.kind)
 
 
-def _stratum_values(measure: MeasureKind, dist: StratifiedDistribution) -> list[float]:
-    return measure_values(measure, *pair_arrays([s.pair for s in dist.strata])).tolist()
+class StratifiedMeasure:
+    """``measure`` on ``dist``: its value in each stratum and its marginal
+    value, each evaluated once, on first use, and what collapsibility
+    derives from them. The module's functions each build one; a caller
+    that needs several of them reads one object."""
+
+    def __init__(self, measure: MeasureKind, dist: StratifiedDistribution) -> None:
+        self.measure, self.dist = measure, dist
+
+    @cached_property
+    def values(self) -> list[float]:
+        """The measure in each stratum; one outside its domain raises
+        UndefinedMeasure."""
+        pairs = [s.pair for s in self.dist.strata]
+        return measure_values(self.measure, *pair_arrays(pairs)).tolist()
+
+    @cached_property
+    def marginal(self) -> MeasureValue:
+        return compute_measure(self.measure, marginal_pair(self.dist))
+
+    def weights(self) -> CollapseWeights:
+        """See :func:`collapsibility_weights`."""
+        measure, strata = self.measure, self.dist.strata
+        if measure not in COLLAPSIBLE_MEASURES:
+            raise NonCollapsible(measure)
+        self.values  # a stratum outside the domain raises first
+        if measure is MeasureKind.RD:
+            raw = [s.proportion for s in strata]
+        else:
+            marg = marginal_pair(self.dist)
+            if measure in (MeasureKind.RR, MeasureKind.ERR):
+                if marg.mu0 == 0.0:
+                    raise UndefinedMeasure("RR weights need a nonzero marginal control mean")
+                raw = [s.proportion * s.pair.mu0 / marg.mu0 for s in strata]
+            else:  # SR, RS
+                if marg.mu0 == 1.0:
+                    raise UndefinedMeasure("SR weights need marginal control mean != 1")
+                raw = [s.proportion * (1.0 - s.pair.mu0) / (1.0 - marg.mu0) for s in strata]
+        total = math.fsum(raw)
+        return CollapseWeights(measure, tuple(w / total for w in raw))
+
+    def collapse(self) -> MeasureValue:
+        """See :func:`collapse`."""
+        weights = self.weights()
+        value = math.fsum(w * v for w, v in zip(weights.weights, self.values))
+        return MeasureValue(self.measure, value, self.marginal.null_reference)
+
+    def naive_average(self) -> float:
+        """See :func:`naive_average`."""
+        return math.fsum(s.proportion * v for s, v in zip(self.dist.strata, self.values))
+
+    def logic(self) -> LogicReport:
+        """See :func:`check_logic_respecting`."""
+        values = self.values
+        marginal = self.marginal.value
+        low, high = min(values), max(values)
+        slack = 1e-12
+        return LogicReport(low - slack <= marginal <= high + slack, marginal, low, high)
 
 
 def collapsibility_weights(
@@ -160,41 +218,13 @@ def collapsibility_weights(
     control mean, SR/RS by the control survival. NNT, OR and log-OR admit
     no such weights.
     """
-    return _weighted_values(measure, dist)[0]
-
-
-def _weighted_values(
-    measure: MeasureKind, dist: StratifiedDistribution
-) -> tuple[CollapseWeights, list[float]]:
-    """The collapsibility weights and the stratum values they weight."""
-    if measure not in COLLAPSIBLE_MEASURES:
-        raise NonCollapsible(measure)
-    values = _stratum_values(measure, dist)  # a stratum outside the domain raises first
-    if measure is MeasureKind.RD:
-        raw = [s.proportion for s in dist.strata]
-    else:
-        marg = marginal_pair(dist)
-        if measure in (MeasureKind.RR, MeasureKind.ERR):
-            if marg.mu0 == 0.0:
-                raise UndefinedMeasure("RR weights need a nonzero marginal control mean")
-            raw = [s.proportion * s.pair.mu0 / marg.mu0 for s in dist.strata]
-        else:  # SR, RS
-            if marg.mu0 == 1.0:
-                raise UndefinedMeasure("SR weights need marginal control mean != 1")
-            raw = [
-                s.proportion * (1.0 - s.pair.mu0) / (1.0 - marg.mu0) for s in dist.strata
-            ]
-    total = math.fsum(raw)
-    return CollapseWeights(measure, tuple(w / total for w in raw)), values
+    return StratifiedMeasure(measure, dist).weights()
 
 
 def collapse(measure: MeasureKind, dist: StratifiedDistribution) -> MeasureValue:
     """Weighted stratum average; equals the marginal measure by
     collapsibility."""
-    weights, values = _weighted_values(measure, dist)
-    value = math.fsum(w * v for w, v in zip(weights.weights, values))
-    reference = compute_measure(measure, marginal_pair(dist))
-    return MeasureValue(measure, value, reference.null_reference)
+    return StratifiedMeasure(measure, dist).collapse()
 
 
 def naive_average(measure: MeasureKind, dist: StratifiedDistribution) -> float:
@@ -203,25 +233,20 @@ def naive_average(measure: MeasureKind, dist: StratifiedDistribution) -> float:
     For non-collapsible measures this generally disagrees with the
     marginal; it exists to exhibit exactly that failure.
     """
-    values = _stratum_values(measure, dist)
-    return math.fsum(s.proportion * v for s, v in zip(dist.strata, values))
+    return StratifiedMeasure(measure, dist).naive_average()
 
 
 def check_logic_respecting(
     measure: MeasureKind, dist: StratifiedDistribution
 ) -> LogicReport:
     """Whether the marginal measure lies within the stratum range."""
-    values = _stratum_values(measure, dist)
-    marginal = compute_measure(measure, marginal_pair(dist)).value
-    low, high = min(values), max(values)
-    slack = 1e-12
-    return LogicReport(low - slack <= marginal <= high + slack, marginal, low, high)
+    return StratifiedMeasure(measure, dist).logic()
 
 
 def is_homogeneous(
     measure: MeasureKind, dist: StratifiedDistribution, tol: float
 ) -> bool:
-    values = _stratum_values(measure, dist)
+    values = StratifiedMeasure(measure, dist).values
     return max(values) - min(values) <= tol
 
 

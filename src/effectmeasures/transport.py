@@ -153,9 +153,9 @@ def plan_adjustment(
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
-    view = array.view()
-    view.flags.writeable = False
-    return view
+    """``array``, which no caller holds, made read-only."""
+    array.flags.writeable = False
+    return array
 
 
 def _check_finite(name: str, values: np.ndarray) -> None:
@@ -182,11 +182,11 @@ def _numeric(items: list) -> np.ndarray | None:
 
 
 def _column(values) -> np.ndarray:
-    """One covariate column: int64 when every value is an integer,
-    float64 when every value is a real number, else the values as objects
-    (strings, or a mix)."""
+    """One covariate column, a new array: int64 when every value is an
+    integer, float64 when every value is a real number, else the values as
+    objects (strings, or a mix)."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
-        return values.astype(np.float64 if values.dtype.kind == "f" else np.int64, copy=False)
+        return values.astype(np.float64 if values.dtype.kind == "f" else np.int64)
     items = values.tolist() if isinstance(values, np.ndarray) else list(values)
     column = _numeric(items)
     if column is None:
@@ -241,7 +241,10 @@ class _Sample:
 
     ``x`` takes row tuples or a 2-D array of rows; each covariate is
     stored as its own read-only column (see :func:`_column`). ``x`` reads
-    back the rows as a 2-D array, built on each access.
+    back the rows as a 2-D array, built on each access. A sample owns
+    every array it holds, copied from its arguments, so it never changes
+    after construction and the estimators may keep results computed from
+    it (see :func:`_pair_memo`).
     """
 
     __slots__ = ("covariates", "columns", "n")
@@ -287,7 +290,7 @@ class _Sample:
 
 
 def _outcomes(name: str, values) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
+    values = np.array(values, dtype=np.float64)
     _check_finite(name, values)
     return _frozen(values)
 
@@ -296,7 +299,7 @@ class TrialSample(_Sample):
     """Row-level source data: covariates, randomized arm (``a``, int8),
     outcome (``y``, float64)."""
 
-    __slots__ = ("a", "y")
+    __slots__ = ("a", "y", "_memo")
 
     def __init__(self, covariates: Sequence[str], x, a, y) -> None:
         super().__init__(covariates, x)
@@ -309,6 +312,7 @@ class TrialSample(_Sample):
         if self.a.all() or not self.a.any():
             raise SingularDesign("both treatment arms need observations")
         self.y = _outcomes("y", y)
+        self._memo = None
 
     def _arrays(self) -> tuple:
         return self.columns + (self.a, self.y)
@@ -414,7 +418,7 @@ class _Cells:
                 cells, code = np.unique(code, return_inverse=True)
                 size = len(cells)
         self.size = size
-        self.trial, self.target = code[: trial.n], code[trial.n :]
+        self.trial, self.target = _frozen(code[: trial.n]), _frozen(code[trial.n :])
 
     def target_tuples(self, codes: np.ndarray) -> list[tuple]:
         """Plain cell tuples for ``codes``, read from the first target row
@@ -429,11 +433,48 @@ class _Cells:
         return np.bincount(codes, weights=weights, minlength=self.size)
 
 
+def _pair_memo(trial: TrialSample, target: TargetSample) -> dict:
+    """The memo of the ``(trial, target)`` pair: what the estimators
+    compute from the two samples and a covariate tuple, kept so that each
+    is computed once per pair.
+
+    The trial holds the memo of the last target it met, so the memo dies
+    with the samples. Samples never change after construction, so an
+    entry stays valid while they live. The memo is read and replaced as
+    one value, so threads that share a trial never write into another
+    target's memo; each replication of a study has samples of its own.
+    """
+    memo = trial._memo
+    if memo is None or memo[0] is not target:
+        memo = trial._memo = (target, {})
+    return memo[1]
+
+
+def _once_per_pair(compute):
+    """``compute(trial, target, covariates, *rest)`` read through the
+    pair's memo, keyed by its name, the covariate tuple and ``rest``. A
+    call that raises stores nothing. Results are shared, so they must not
+    be modified."""
+
+    def memoized(trial: TrialSample, target: TargetSample, covariates: Sequence[str], *rest):
+        entries = _pair_memo(trial, target)
+        key = (compute.__name__, tuple(covariates), *rest)
+        if key not in entries:
+            entries[key] = compute(trial, target, key[1], *rest)
+        return entries[key]
+
+    memoized.__doc__ = compute.__doc__
+    return memoized
+
+
+_cells = _once_per_pair(_Cells)
+
+
 def estimate_density_ratio(
     trial: TrialSample, target: TargetSample, covariates: Sequence[str]
 ) -> DensityRatio:
     """Ratio of empirical cell frequencies, p_T(x) / p_S(x)."""
-    cells = _Cells(trial, target, covariates)
+    cells = _cells(trial, target, covariates)
     src = cells.counts(cells.trial)
     tgt = cells.counts(cells.target)
     unseen = np.flatnonzero((tgt > 0) & (src == 0))
@@ -452,11 +493,12 @@ def _infer_kind(trial: TrialSample) -> OutcomeKind:
     return OutcomeKind.CONTINUOUS
 
 
-def _cell_means(trial: TrialSample, target: TargetSample, covariates: Sequence[str]):
+@_once_per_pair
+def _cell_means(trial: TrialSample, target: TargetSample, covariates: tuple[str, ...]):
     """The cells of ``covariates`` and each arm's mean trial outcome per
     cell, indexed by cell code (NaN where the arm has no row in the cell).
     Every cell with target rows needs rows in both trial arms."""
-    cells = _Cells(trial, target, covariates)
+    cells = _cells(trial, target, covariates)
     # one bin per (cell, arm); bincount adds each bin's outcomes in row order
     by_arm = 2 * cells.trial + trial.a
     count = np.bincount(by_arm, minlength=2 * cells.size).reshape(cells.size, 2).T
@@ -465,7 +507,7 @@ def _cell_means(trial: TrialSample, target: TargetSample, covariates: Sequence[s
     missing = np.flatnonzero((cells.counts(cells.target) > 0) & (np.isnan(mu0) | np.isnan(mu1)))
     if missing.size:
         raise SupportViolation(cells.target_tuples(missing))
-    return cells, mu0, mu1
+    return cells, _frozen(mu0), _frozen(mu1)
 
 
 def _contrast(trial: TrialSample, target: TargetSample, measure, covariates, means):
@@ -490,15 +532,17 @@ def least_squares_fit(x_rows: Sequence[Sequence[float]], y: Sequence[float]) -> 
     return coef
 
 
+@_once_per_pair
 def _gformula_means(trial: TrialSample, target: TargetSample, covariates, learner: Learner):
     """Per-arm conditional means fitted on the trial by ``learner``,
     averaged over the target rows."""
     if learner is Learner.CELL_MEANS:
         cells, mu0, mu1 = _cell_means(trial, target, covariates)
-        # fsum is exact, so the per-row order of the gathered means is immaterial
+        # fsum is exact, so the per-row order of the gathered means is
+        # immaterial; it reads the array without a list of every row's mean
         return (
-            math.fsum(mu0[cells.target].tolist()) / target.n,
-            math.fsum(mu1[cells.target].tolist()) / target.n,
+            math.fsum(mu0[cells.target]) / target.n,
+            math.fsum(mu1[cells.target]) / target.n,
         )
     source = [trial.columns[i] for i in trial.column_indices(covariates)]
     target_columns = [target.columns[i] for i in target.column_indices(covariates)]

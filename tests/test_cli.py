@@ -722,3 +722,26 @@ class TestInputBoundary:
         code, _, err = run(capsys, ["measures", "--mu0", "0.2", "--mu1", "0.1"])
         assert code == want
         assert err.startswith(f"{error.__name__}: ")
+
+
+class TestCollapseEvaluatesOnce:
+    @pytest.mark.parametrize("fixture", ["protective_summary.csv", "paradox_counts.csv"])
+    @pytest.mark.parametrize("measure", [m.value for m in MeasureKind])
+    def test_stratum_values_and_marginal_once(self, capsys, monkeypatch, fixture, measure):
+        """One measure-kernel call for the stratum values and one for the
+        marginal serve weights, collapse, naive averages and the logic check."""
+        from effectmeasures import measures
+
+        calls = []
+        table = measures.measure_table
+        monkeypatch.setattr(measures, "measure_table", lambda *a: calls.append(1) or table(*a))
+        run(capsys, ["collapse", "--strata", str(FIXTURES / fixture), "--measure", measure,
+                     "--check-logic", "--json"])
+        assert len(calls) == 2
+
+    def test_underscore_count_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "strata.csv"
+        path.write_text("stratum,proportion,n_a1_y1,n_a1_y0,n_a0_y1,n_a0_y0\na,1.0,1_000,2,3,4\n")
+        code, out, err = run(capsys, ["collapse", "--strata", str(path), "--measure", "rd"])
+        assert code == EXIT_VALIDATION and out == ""
+        assert err.splitlines()[-1].startswith("ParseError:")

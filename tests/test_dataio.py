@@ -575,3 +575,48 @@ class TestRoles:
         path.write_text(json.dumps({"covariates": ["x"]}))
         with pytest.raises(ParseError):
             dataio.load_roles(path)
+
+
+class TestPythonDigitForms:
+    """Python's ``int`` and ``float`` read ``_`` digit separators and
+    non-ASCII digits; this CSV format has neither, so such a field is a
+    ParseError at its row and column, on every parser path."""
+
+    @pytest.mark.parametrize(
+        "load, text, row, column",
+        [
+            ("trial", "x,a,y\n1_0,0,1\n1,1,0\n", 2, "x"),
+            ("trial", "x,a,y\n0,0,1\n١,1,0\n", 3, "x"),
+            ("trial", "x,tag,a,y\n0,u,0,1\n1,１,1,0\n", 3, "tag"),
+            ("trial", "x,a,y\n0,0_1,1\n1,1,0\n", 2, "a"),
+            ("trial", "x,a,y\n0,0,1_0\n1,1,0\n", 2, "y"),
+            ("trial", "x,a,y\n0,0,0.٥\n1,1,0\n", 2, "y"),
+            ("target", "x,y0\n0,0\n1,0_0\n", 3, "y0"),
+            ("target", "x\n1.5\n2_5.0\n", 3, "x"),
+            ("strata", "stratum,proportion,n_a1_y1,n_a1_y0,n_a0_y1,n_a0_y0\n"
+                       "a,1.0,1_000,2,3,4\n", 2, "n_a1_y1"),
+            ("strata", "stratum,proportion,mu0,mu1\na,0_5,0.1,0.2\nb,0.5,0.1,0.2\n",
+             2, "proportion"),
+        ],
+        ids=["trial-x-underscore", "trial-x-arabic-indic", "trial-tag-fullwidth",
+             "trial-a-underscore", "trial-y-underscore", "trial-y-arabic-indic",
+             "target-y0-underscore", "target-x-float-underscore", "strata-count-underscore",
+             "strata-proportion-underscore"],
+    )
+    def test_rejected_with_row_and_column(self, tmp_path, load, text, row, column):
+        path = tmp_path / "file.csv"
+        path.write_bytes(text.encode("utf-8"))
+        loaders = {"trial": [dataio.load_trial, dataio._parse_trial],
+                   "target": [dataio.load_target, dataio._parse_target],
+                   "strata": [dataio.load_strata]}[load]
+        for loader in loaders:
+            with pytest.raises(ParseError) as excinfo:
+                loader(path)
+            assert (excinfo.value.row, excinfo.value.column) == (row, column)
+
+    def test_whitespace_and_non_ascii_strings_stay_accepted(self, tmp_path):
+        path = tmp_path / "trial.csv"
+        path.write_text("x,tag,a,y\n 1 ,café,0, 1.5\n2,u_v,1,0\n", encoding="utf-8")
+        trial = dataio.load_trial(path)
+        assert trial.x.tolist() == [[1, "café"], [2, "u_v"]]
+        assert trial.y.tolist() == [1.5, 0.0]

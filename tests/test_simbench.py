@@ -1,3 +1,4 @@
+import gc
 import math
 import statistics
 
@@ -245,3 +246,31 @@ class TestConfigValidation:
         keys = {c.key for c in default_config(roulette)}
         assert ("sr", "local", "stress") in keys
         assert ("rd", "ipsw", "stress") in keys
+
+
+class TestPairMemoLifetime:
+    def test_run_one_frees_its_samples_and_memo(self, monkeypatch):
+        """A replication's samples, and the memo its estimators fill, die
+        when the replication returns: no cache outlives them."""
+        from effectmeasures import simbench, transport
+
+        roulette = builtin_scenario("roulette-heterogeneous")
+        filled = []
+        gformula = simbench.gformula_conditional
+
+        def recording(trial, target, *args):
+            estimate = gformula(trial, target, *args)
+            filled.append(len(trial._memo[1]))
+            return estimate
+
+        monkeypatch.setattr(simbench, "gformula_conditional", recording)
+
+        def live(kind):
+            return sum(isinstance(o, kind) for o in gc.get_objects())
+
+        kinds = (transport.TrialSample, transport.TargetSample, transport._Cells)
+        before = [live(kind) for kind in kinds]
+        result = simbench._run_one(roulette, 3, 0, 400, 600, default_config(roulette))
+        assert len(result.estimates) == len(default_config(roulette))
+        assert filled and min(filled) > 0
+        assert [live(kind) for kind in kinds] == before

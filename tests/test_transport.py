@@ -40,6 +40,8 @@ from effectmeasures.transport import (
     least_squares_fit,
     plan_adjustment,
 )
+from effectmeasures import transport
+from effectmeasures.simbench import estimators
 from effectmeasures.transport import _Cells, _code_column
 
 BENEFICIAL = MonotonicityDirection.BENEFICIAL
@@ -609,3 +611,90 @@ class TestColumnarSamples:
             ipsw_conditional(
                 oracle_trial, oracle_target, MeasureKind.RD, ("x",), Learner.LEAST_SQUARES
             )
+
+
+def _bits(outcome):
+    """An outcome of :func:`_outcome` compared bit for bit: a float by its
+    hex form, which tells -0.0 from 0.0."""
+    return outcome.hex() if isinstance(outcome, float) else outcome
+
+
+def _cold(trial, target):
+    """New samples with the data of ``trial`` and ``target``: their pair
+    memo is empty."""
+    return (
+        TrialSample(trial.covariates, trial.x, trial.a, trial.y),
+        TargetSample(target.covariates, target.x, target.y0),
+    )
+
+
+class TestPairMemo:
+    """Estimates read through the memo of a (trial, target) pair equal
+    estimates on new samples, whose memo is cold."""
+
+    CALLS = [
+        (fn, measure, covariates, learner)
+        for fn, _, _ in estimators().values()
+        for learner in Learner
+        for measure in MeasureKind
+        for covariates in (("i", "tag"), ("tag",), ("i",))
+    ]
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), binary=st.booleans())
+    def test_any_call_order_equals_a_cold_memo(self, seed, binary):
+        rng = random.Random(seed)
+        trial, target = random_trial_and_target(rng, binary)
+        y0 = [float(rng.random() < 0.4) for _ in range(target.n)]
+        target = TargetSample(target.covariates, target.x, y0)
+        calls = list(self.CALLS)
+        rng.shuffle(calls)
+        for fn, measure, covariates, learner in calls:
+            warm = _outcome(lambda: fn(trial, target, measure, covariates, learner))
+            cold = _outcome(lambda: fn(*_cold(trial, target), measure, covariates, learner))
+            assert _bits(warm) == _bits(cold), (fn.__name__, measure, covariates, learner)
+
+    def test_a_memo_is_not_shared_across_targets(self):
+        trial, target = random_trial_and_target(random.Random(3), binary=False)
+        first = target.x[0]
+        # only the rows of one cell: a target whose estimates differ
+        other = TargetSample(target.covariates, target.x[[tuple(r) == tuple(first) for r in target.x]])
+        equal = TargetSample(target.covariates, target.x)
+        estimates = {}
+        for fn, measure, covariates, learner in self.CALLS:
+            for name, tgt in (("target", target), ("other", other), ("equal", equal),
+                              ("target", target)):
+                got = _outcome(lambda: fn(trial, tgt, measure, covariates, learner))
+                want = _outcome(lambda: fn(*_cold(trial, tgt), measure, covariates, learner))
+                assert _bits(got) == _bits(want), (name, fn.__name__, measure, covariates)
+                estimates[name, fn, measure, covariates, learner] = got
+        rd = (gformula_conditional, MeasureKind.RD, ("i",), Learner.LEAST_SQUARES)
+        assert estimates[("target", *rd)] != estimates[("other", *rd)]
+
+    def test_results_are_computed_once_per_covariate_set(self, monkeypatch):
+        """Continuous study: two covariate sets, so four least-squares fits
+        serve its five estimates."""
+        fits = []
+        fit = transport.least_squares_fit
+        monkeypatch.setattr(transport, "least_squares_fit", lambda *a: fits.append(1) or fit(*a))
+        trial, target = random_trial_and_target(random.Random(4), binary=False)
+        for covariates in (("i",), ("i",), (), ()):
+            gformula_conditional(trial, target, MeasureKind.RD, covariates, Learner.LEAST_SQUARES)
+            generalize_local(trial, target, MeasureKind.RD, covariates, Learner.LEAST_SQUARES)
+        assert len(fits) == 4
+
+    def test_samples_own_their_arrays(self):
+        x = np.array([[0.0], [1.0], [0.0], [1.0]])
+        a, y, y0 = np.array([0, 0, 1, 1]), np.array([0.0, 1.0, 2.0, 3.0]), np.zeros(2)
+        trial = TrialSample(("x",), x, a, y)
+        target = TargetSample(("x",), x[:2], y0)
+        before = gformula_conditional(trial, target, MeasureKind.RD, ("x",))
+        x[:] = 7.0
+        y[:] = 9.0
+        y0[:] = 1.0
+        assert trial.columns[0].tolist() == [0.0, 1.0, 0.0, 1.0]
+        assert trial.y.tolist() == [0.0, 1.0, 2.0, 3.0] and target.y0.tolist() == [0.0, 0.0]
+        assert gformula_conditional(trial, target, MeasureKind.RD, ("x",)) == before
+        for array in (*trial.columns, trial.a, trial.y, *target.columns, target.y0):
+            with pytest.raises(ValueError):
+                array[0] = 5
