@@ -10,7 +10,6 @@ shortest-roundtrip form so that load(save(x)) == x.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 import warnings
@@ -231,9 +230,9 @@ def _covariate_rows(texts: list[list[str]], covariates: tuple[str, ...], n: int)
 _TYPED_BYTES = b"0123456789,.+-eE\n"
 
 
-def _typed_body(path) -> tuple[list[str], bytes] | None:
-    """The header and the body of a file that the typed pass reads as the
-    column parser would, else None.
+def _typed_header(path) -> list[str] | None:
+    """The header of a file that the typed pass reads as the column
+    parser would, else None.
 
     The body must hold only ``_TYPED_BYTES``, at least one row and no
     blank line (``np.loadtxt`` skips blank lines, where the column parser
@@ -255,23 +254,37 @@ def _typed_body(path) -> tuple[list[str], bytes] | None:
         text = head.decode("utf-8-sig")
     except UnicodeDecodeError:
         return None
-    return ([h.strip() for h in text.split(",")], body) if text else None
+    return [h.strip() for h in text.split(",")] if text else None
 
 
-def _typed_table(body: bytes, fields: list[tuple]) -> np.ndarray | None:
-    """The body read in one ``np.loadtxt`` pass into the structured dtype
-    ``fields``, or None where a field is no number of its type (a float in
-    an int64 field, an integer beyond int64) or a row has the wrong arity.
+def _typed_table(path, fields: list[tuple]) -> np.ndarray | None:
+    """The body of ``path`` read in one ``np.loadtxt`` pass into the
+    structured dtype ``fields``, or None where a field is no number of its
+    type (a float in an int64 field, an integer beyond int64) or a row has
+    the wrong arity.
 
-    NumPy 1.23 to 1.26 parse such an int64 field as a float, cast it and
-    only emit a DeprecationWarning; raised as an error here, it stops the
-    read, so no cast value is ever returned.
+    ``np.loadtxt`` reads a path in chunks in C, where it reads any other
+    argument one line at a time in Python. A file that changed after
+    :func:`_typed_header` checked it and no longer reads fails here and
+    goes to the column parser, as any failed typed read does.
+
+    NumPy 1.23 to 1.26 parse a float in an int64 field, cast it and only
+    emit a DeprecationWarning; raised as an error here, it stops the read,
+    so no cast value is ever returned.
     """
+    name = str(path)
+    # np.loadtxt opens a path through NumPy's DataSource, which would
+    # decompress these suffixes and fetch a "scheme://" name as a URL
+    if name.endswith((".gz", ".bz2", ".xz", ".lzma")) or "://" in name:
+        return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            return np.loadtxt(io.BytesIO(body), dtype=fields, delimiter=",", comments=None, ndmin=1)
-    except (ValueError, DeprecationWarning):
+            return np.loadtxt(
+                path, dtype=fields, delimiter=",", comments=None, ndmin=1,
+                skiprows=1, encoding="utf-8",
+            )
+    except (ValueError, DeprecationWarning, OSError):
         return None
 
 
@@ -288,16 +301,14 @@ def load_trial(path) -> TrialSample:
     """Trial CSV: covariate columns, then ``a`` and ``y``.
 
     A body of integer covariates and arms in {0, 1} is read by one typed
-    pass (see :func:`_typed_body`); every other file goes to the column
+    pass (see :func:`_typed_header`); every other file goes to the column
     parser, which alone reports errors with their row and column.
     """
-    typed = _typed_body(path)
-    if typed is not None:
-        header, body = typed
+    header = _typed_header(path)
+    if header is not None:
         covariates = _trial_covariates(path, header)
         fields = [("x", np.int64, (len(covariates),)), ("a", np.int64), ("y", np.float64)]
-        table = _typed_table(body, fields)
-        del typed, body  # the sample copies the table: free the file's bytes first
+        table = _typed_table(path, fields)
         if table is not None and ((table["a"] == 0) | (table["a"] == 1)).all():
             return TrialSample(covariates, table["x"], table["a"], table["y"])
     return _parse_trial(path)
@@ -351,13 +362,11 @@ def load_target(path) -> TargetSample:
     A body of integer covariates is read by one typed pass, as in
     :func:`load_trial`; every other file goes to the column parser.
     """
-    typed = _typed_body(path)
-    if typed is not None:
-        header, body = typed
+    header = _typed_header(path)
+    if header is not None:
         covariates, has_y0 = _target_covariates(path, header)
         fields = [("x", np.int64, (len(covariates),))] + ([("y0", np.float64)] if has_y0 else [])
-        table = _typed_table(body, fields)
-        del typed, body  # the sample copies the table: free the file's bytes first
+        table = _typed_table(path, fields)
         if table is not None:
             return TargetSample(covariates, table["x"], table["y0"] if has_y0 else None)
     return _parse_target(path)

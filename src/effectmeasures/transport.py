@@ -186,7 +186,11 @@ def _column(values) -> np.ndarray:
     integer, float64 when every value is a real number, else the values as
     objects (strings, or a mix)."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
-        return values.astype(np.float64 if values.dtype.kind == "f" else np.int64)
+        if values.dtype.kind == "f":
+            return values.astype(np.float64)
+        # uint64 beyond int64 falls through to the exact objects of the row path
+        if values.dtype.kind == "i" or values.max(initial=0) <= np.iinfo(np.int64).max:
+            return values.astype(np.int64)
     items = values.tolist() if isinstance(values, np.ndarray) else list(values)
     column = _numeric(items)
     if column is None:
@@ -395,14 +399,15 @@ def _code_column(source: np.ndarray, target: np.ndarray) -> tuple[int, np.ndarra
 
 
 class _Cells:
-    """Trial and target rows coded by covariate cell.
+    """Trial and target rows coded by covariate cell, and the number of
+    target rows in each cell (``target_counts``).
 
     Codes run over ``0..size-1`` in the sorted order of the cell tuples
     and mean the same cell in both samples. Each covariate is coded on
-    its own and the codes are combined in mixed radix; whenever the
-    radix product exceeds the row count, the codes are re-compacted, so
-    the product stays below the squared row count and never overflows
-    int64.
+    its own, once per pair (see :func:`_coded_column`), and the codes are
+    combined in mixed radix; whenever the radix product exceeds the row
+    count, the codes are re-compacted, so the product stays below the
+    squared row count and never overflows int64.
     """
 
     def __init__(self, trial: TrialSample, target: TargetSample, covariates: Sequence[str]):
@@ -410,8 +415,8 @@ class _Cells:
         self.target_columns = [target.columns[i] for i in target.column_indices(covariates)]
         code = np.zeros(trial.n + target.n, dtype=np.int64)
         size = 1
-        for source, tgt in zip(self.trial_columns, self.target_columns):
-            levels, inverse = _code_column(source, tgt)
+        for name in covariates:
+            levels, inverse = _coded_column(trial, target, (name,))
             code = code * levels + inverse
             size *= levels
             if size > len(code):
@@ -419,6 +424,7 @@ class _Cells:
                 size = len(cells)
         self.size = size
         self.trial, self.target = _frozen(code[: trial.n]), _frozen(code[trial.n :])
+        self.target_counts = _frozen(self.counts(self.target))
 
     def target_tuples(self, codes: np.ndarray) -> list[tuple]:
         """Plain cell tuples for ``codes``, read from the first target row
@@ -467,6 +473,16 @@ def _once_per_pair(compute):
     return memoized
 
 
+@_once_per_pair
+def _coded_column(trial: TrialSample, target: TargetSample, covariates: tuple[str]):
+    """:func:`_code_column` of the one covariate in ``covariates``, its
+    codes in the smallest signed integer type that holds them: the memo
+    keeps them while the samples live."""
+    (i,), (j,) = trial.column_indices(covariates), target.column_indices(covariates)
+    levels, inverse = _code_column(trial.columns[i], target.columns[j])
+    return levels, _frozen(inverse.astype(np.min_scalar_type(-levels)))
+
+
 _cells = _once_per_pair(_Cells)
 
 
@@ -476,7 +492,7 @@ def estimate_density_ratio(
     """Ratio of empirical cell frequencies, p_T(x) / p_S(x)."""
     cells = _cells(trial, target, covariates)
     src = cells.counts(cells.trial)
-    tgt = cells.counts(cells.target)
+    tgt = cells.target_counts
     unseen = np.flatnonzero((tgt > 0) & (src == 0))
     if unseen.size:
         raise SupportViolation(cells.target_tuples(unseen))
@@ -504,10 +520,34 @@ def _cell_means(trial: TrialSample, target: TargetSample, covariates: tuple[str,
     count = np.bincount(by_arm, minlength=2 * cells.size).reshape(cells.size, 2).T
     total = np.bincount(by_arm, trial.y, minlength=2 * cells.size).reshape(cells.size, 2).T
     mu0, mu1 = np.divide(total, count, out=np.full(count.shape, np.nan), where=count > 0)
-    missing = np.flatnonzero((cells.counts(cells.target) > 0) & (np.isnan(mu0) | np.isnan(mu1)))
+    missing = np.flatnonzero((cells.target_counts > 0) & (np.isnan(mu0) | np.isnan(mu1)))
     if missing.size:
         raise SupportViolation(cells.target_tuples(missing))
     return cells, _frozen(mu0), _frozen(mu1)
+
+
+def _repeated_fsum(values: np.ndarray, counts: np.ndarray) -> float:
+    """``math.fsum`` over each of ``values`` repeated ``counts`` times
+    (each count at least 1 and below 2**52), in O(len(values)).
+
+    Each value is split into a high part of 26 significant bits and a low
+    part of 27, and each count into a multiple of 2**26 and a remainder,
+    both of at most 26 significant bits; the four products then fit in 53
+    bits and are exact, so fsum, which is correctly rounded, gives the
+    bits of the repeated sum. Non-finite values decide that sum however
+    often each occurs (nan, inf, or ValueError for inf with -inf). Where a
+    partial sum could overflow, the values are repeated and summed as they
+    are.
+    """
+    finite = np.isfinite(values)
+    if float(np.abs(values[finite]).max(initial=0.0)) * float(counts.sum()) >= 2.0**1000:
+        return math.fsum(np.repeat(values, counts))
+    if not finite.all():
+        return math.fsum(values.tolist())
+    high = (values.view(np.uint64) & np.uint64(-(2**27) % 2**64)).view(np.float64)
+    low = values - high
+    times = ((counts >> 26) << 26).astype(np.float64), (counts & (2**26 - 1)).astype(np.float64)
+    return math.fsum(np.concatenate([c * part for c in times for part in (high, low)]).tolist())
 
 
 def _contrast(trial: TrialSample, target: TargetSample, measure, covariates, means):
@@ -538,11 +578,11 @@ def _gformula_means(trial: TrialSample, target: TargetSample, covariates, learne
     averaged over the target rows."""
     if learner is Learner.CELL_MEANS:
         cells, mu0, mu1 = _cell_means(trial, target, covariates)
-        # fsum is exact, so the per-row order of the gathered means is
-        # immaterial; it reads the array without a list of every row's mean
+        present = np.flatnonzero(cells.target_counts)
+        counts = cells.target_counts[present]
         return (
-            math.fsum(mu0[cells.target]) / target.n,
-            math.fsum(mu1[cells.target]) / target.n,
+            _repeated_fsum(mu0[present], counts) / target.n,
+            _repeated_fsum(mu1[present], counts) / target.n,
         )
     source = [trial.columns[i] for i in trial.column_indices(covariates)]
     target_columns = [target.columns[i] for i in target.column_indices(covariates)]
@@ -625,7 +665,7 @@ def generalize_local(
             f"{measure.value} weights need control outcomes in the target sample"
         )
     cells, mu0, mu1 = _cell_means(trial, target, covariates)
-    count = cells.counts(cells.target)
+    count = cells.target_counts
     present = np.flatnonzero(count)
     try:
         local = measure_values(measure, mu0[present], mu1[present], _infer_kind(trial))

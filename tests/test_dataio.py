@@ -325,8 +325,9 @@ class TestParserPaths:
         """NumPy 1.23 to 1.26 read float text into an int64 field as its
         cast value and only warn; such a read must fall back, not load."""
 
-        def casting_loadtxt(fh, dtype, **kwargs):
-            rows = fh.read().splitlines()
+        def casting_loadtxt(fname, dtype, **kwargs):
+            with open(fname, encoding=kwargs["encoding"]) as fh:
+                rows = fh.read().splitlines()[kwargs["skiprows"]:]
             warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
                           DeprecationWarning, stacklevel=2)
             return np.zeros(len(rows), dtype=dtype)
@@ -363,6 +364,50 @@ class TestParserPaths:
         assert dataio.load_trial(path).covariates == ("x",)
         path.write_bytes(("\ufeffx,y0\n" + target_body).encode("utf-8"))
         assert dataio.load_target(path).covariates == ("x",)
+
+    @pytest.mark.parametrize(
+        "load, parse, text",
+        [
+            ("trial", "_parse_trial", "\ufeffx,a,y\n0,0,1\n1,1,0.5\n"),
+            ("trial", "_parse_trial", "x,a,y\n0,0,1\n1,1,0.5"),
+            ("trial", "_parse_trial", "größe,a,y\n0,0,1\n-3,1,0.5\n"),
+            ("target", "_parse_target", "\ufeffx,y0\n0,1\n1,0\n"),
+            ("target", "_parse_target", "x,y0\n0,1\n1,0"),
+            ("target", "_parse_target", "größe\n0\n-3\n"),
+        ],
+    )
+    def test_typed_pass_reads_the_path_once(self, tmp_path, monkeypatch, load, parse, text):
+        """A byte-order mark, a last row without a newline and a non-ASCII
+        name keep the typed pass: one ``np.loadtxt`` call, given the path."""
+        path = tmp_path / "sample.csv"
+        path.write_bytes(text.encode("utf-8"))
+        calls, loadtxt = [], np.loadtxt
+        monkeypatch.setattr(
+            dataio.np, "loadtxt", lambda fname, **kw: calls.append(fname) or loadtxt(fname, **kw)
+        )
+        loaded = _outcome(getattr(dataio, f"load_{load}"), path)
+        assert calls == [path]
+        assert loaded == _outcome(getattr(dataio, parse), path)
+
+    @pytest.mark.parametrize(
+        "name", ["trial.csv.gz", "trial.csv.bz2", "trial.csv.xz", "trial.csv.lzma",
+                 "http://host/trial.csv"],
+    )
+    def test_names_loadtxt_would_not_open_as_plain_files(self, tmp_path, monkeypatch, name):
+        """``np.loadtxt`` would decompress such a path or fetch it as a URL;
+        the column parser reads the plain local file."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)  # "http:/host" here
+        (tmp_path / name).write_text("x,a,y\n0,0,1\n1,1,0\n")
+        calls = []
+
+        def refusing_loadtxt(fname, **kwargs):
+            calls.append(fname)
+            raise ValueError("not a plain file")
+
+        monkeypatch.setattr(dataio.np, "loadtxt", refusing_loadtxt)
+        assert _outcome(dataio.load_trial, name) == _outcome(dataio._parse_trial, name)
+        assert calls == []
 
     def test_save_trial_files_take_the_typed_pass(self, tmp_path, monkeypatch):
         trial = TrialSample(("x", "z"), ((0, -4), (1, 7), (0, 7)), (0, 1, 1), (0.0, -0.0, 1e-300))

@@ -274,3 +274,19 @@ class TestPairMemoLifetime:
         assert len(result.estimates) == len(default_config(roulette))
         assert filled and min(filled) > 0
         assert [live(kind) for kind in kinds] == before
+
+
+def test_a_replication_codes_each_column_once(monkeypatch):
+    """The roulette configuration uses ``stress`` and ``lifestyle,stress``:
+    two columns, each coded once for all seven estimates."""
+    from effectmeasures import simbench, transport
+
+    roulette = builtin_scenario("roulette-heterogeneous")
+    coded = []
+    code_column = transport._code_column
+    monkeypatch.setattr(
+        transport, "_code_column", lambda *args: coded.append(args) or code_column(*args)
+    )
+    result = simbench._run_one(roulette, 3, 0, 400, 600, default_config(roulette))
+    assert len(result.estimates) == len(default_config(roulette))
+    assert len(coded) == 2

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from effectmeasures.transport import (
 )
 from effectmeasures import transport
 from effectmeasures.simbench import estimators
-from effectmeasures.transport import _Cells, _code_column
+from effectmeasures.transport import _Cells, _code_column, _repeated_fsum
 
 BENEFICIAL = MonotonicityDirection.BENEFICIAL
 HARMFUL = MonotonicityDirection.HARMFUL
@@ -573,6 +574,63 @@ class TestIntegerCoding:
         assert by_code.tolist() == by_row.tolist()
 
 
+def _fsum_outcome(compute):
+    """The bits of a sum, or the type and message of what it raised."""
+    try:
+        return compute().hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+_SPECIAL_MEANS = [
+    5e-324, -5e-324, 2.0**-1050, 2.2250738585072014e-308, 1e300, -1e300, 0.0, -0.0,
+    -2.5, math.nan, math.inf, -math.inf,
+]
+
+
+class TestRepeatedFsum:
+    """The g-formula's sum over cells: each cell mean counted once per
+    target row in the cell, summed as ``math.fsum`` sums the rows."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        cells=st.lists(
+            st.tuples(
+                st.sampled_from(_SPECIAL_MEANS) | st.floats(allow_nan=False, width=64),
+                st.integers(1, 64),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_equals_fsum_over_the_repeated_means(self, cells):
+        values = np.array([v for v, _ in cells])
+        counts = np.array([c for _, c in cells], dtype=np.int64)
+        want = _fsum_outcome(lambda: math.fsum(np.repeat(values, counts).tolist()))
+        assert _fsum_outcome(lambda: _repeated_fsum(values, counts)) == want
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        cells=st.lists(
+            st.tuples(
+                st.sampled_from([5e-324, -5e-324, 2.0**-1050, 0.0, -0.0, -2.5, 1e290, -1e290])
+                | st.floats(-1e290, 1e290),
+                st.integers(1, 2**31),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_large_counts_give_the_correctly_rounded_sum(self, cells):
+        """Counts up to 2**31, where the repeated list would need 17 GB:
+        fsum is correctly rounded, so without overflow it returns the exact
+        rational sum rounded to the nearest float."""
+        values = np.array([v for v, _ in cells])
+        counts = np.array([c for _, c in cells], dtype=np.int64)
+        got, want = _repeated_fsum(values, counts), float(sum(Fraction(v) * c for v, c in cells))
+        assert got.hex() == want.hex() or got == want == 0.0  # the sign of zero is fsum's
+
+
 class TestColumnarSamples:
     def test_columns_keep_their_types(self):
         trial = TrialSample(
@@ -605,6 +663,20 @@ class TestColumnarSamples:
             TrialSample(("x", "x"), ((0, 1), (1, 0)), (0, 1), (0.0, 1.0))
         with pytest.raises(InvariantViolation, match="duplicate covariate names"):
             TargetSample(("x", "z", "x"), ((0, 1, 2),))
+
+    def test_uint64_beyond_int64_stays_exact(self):
+        """Such a column is kept as exact Python ints, as the row-tuple
+        path keeps it; a uint64 column within int64 stays int64."""
+        big = np.array([[2**63], [1]], np.uint64)
+        trial = TrialSample(("x",), big, [0, 1], [0.0, 1.0])
+        assert trial.columns[0].dtype == object and trial.columns[0].tolist() == [2**63, 1]
+        assert trial == TrialSample(("x",), ((2**63,), (1,)), [0, 1], [0.0, 1.0])
+        target = TargetSample(("x",), np.array([[2**64 - 1], [0]], np.uint64))
+        assert target.columns[0].dtype == object and target.columns[0].tolist() == [2**64 - 1, 0]
+        assert target == TargetSample(("x",), ((2**64 - 1,), (0,)))
+        small = TargetSample(("x",), np.array([[2**63 - 1], [0]], np.uint64))
+        assert small.columns[0].dtype == np.int64 and small.columns[0].tolist() == [2**63 - 1, 0]
+        assert small == TargetSample(("x",), ((2**63 - 1,), (0,)))
 
     def test_ipsw_refuses_least_squares(self, oracle_trial, oracle_target):
         with pytest.raises(InvariantViolation, match="least-squares"):
