@@ -24,6 +24,7 @@ from .genmodel import (
     EntanglementModel,
     MeasureValue,
     population_measures_binary,
+    potential_mean,
 )
 from .measures import MeasureKind, OutcomeKind, UndefinedMeasure
 from .transport import (
@@ -280,10 +281,8 @@ class _RouletteHeterogeneous(Scenario):
             {c: self._m_b(*c) for c in cells},
             {c: 0.0 for c in cells},
         )
-        b = np.array([self._b(*c) for c in cells])
-        m_b = np.array([self._m_b(*c) for c in cells])
-        # outcome risk by (arm, cell): b + a (1 - b) m_b
-        self.risk = np.array([b + a * (1.0 - b) * m_b for a in (0, 1)])
+        # outcome risk by (arm, cell)
+        self.risk = np.array([[potential_mean(self.model, a, c) for c in cells] for a in (0, 1)])
 
     def _sample_x(self, rng: np.random.Generator, size: int, population: str) -> np.ndarray:
         rates = self._RATES[population]

@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import InvariantViolation, NonCollapsible, UndefinedMeasure
 from .genmodel import expit
 from .measures import (
@@ -32,6 +34,7 @@ __all__ = [
     "LogicReport",
     "StratifiedMeasure",
     "marginal_pair",
+    "collapse_weights",
     "collapsibility_weights",
     "collapse",
     "naive_average",
@@ -138,6 +141,27 @@ class LogicReport:
     high: float
 
 
+def collapse_weights(
+    measure: MeasureKind, proportions: np.ndarray, control_means: np.ndarray | None
+) -> np.ndarray:
+    """Weights under which stratum values of ``measure`` average to its
+    marginal: the proportions as given for RD (``control_means`` may then
+    be None); for RR/ERR the proportions times the control means, for
+    SR/RS times the control survivals, normalized to sum to one."""
+    if measure not in COLLAPSIBLE_MEASURES:
+        raise NonCollapsible(measure)
+    if measure is MeasureKind.RD:
+        return proportions
+    if measure in (MeasureKind.RR, MeasureKind.ERR):
+        raw = proportions * control_means
+    else:  # SR, RS
+        raw = proportions * (1.0 - control_means)
+    total = math.fsum(raw.tolist())
+    if total == 0.0:
+        raise UndefinedMeasure(f"{measure.value} weights sum to zero: degenerate control outcomes")
+    return raw / total
+
+
 def marginal_pair(dist: StratifiedDistribution) -> OutcomePair:
     """Pool strata by the law of total expectation."""
     mu0 = math.fsum(s.proportion * s.pair.mu0 for s in dist.strata)
@@ -175,20 +199,9 @@ class StratifiedMeasure:
         if measure not in COLLAPSIBLE_MEASURES:
             raise NonCollapsible(measure)
         self.values  # a stratum outside the domain raises first
-        if measure is MeasureKind.RD:
-            raw = [s.proportion for s in strata]
-        else:
-            marg = marginal_pair(self.dist)
-            if measure in (MeasureKind.RR, MeasureKind.ERR):
-                if marg.mu0 == 0.0:
-                    raise UndefinedMeasure("RR weights need a nonzero marginal control mean")
-                raw = [s.proportion * s.pair.mu0 / marg.mu0 for s in strata]
-            else:  # SR, RS
-                if marg.mu0 == 1.0:
-                    raise UndefinedMeasure("SR weights need marginal control mean != 1")
-                raw = [s.proportion * (1.0 - s.pair.mu0) / (1.0 - marg.mu0) for s in strata]
-        total = math.fsum(raw)
-        return CollapseWeights(measure, tuple(w / total for w in raw))
+        proportions = np.array([s.proportion for s in strata])
+        weights = collapse_weights(measure, proportions, np.array([s.pair.mu0 for s in strata]))
+        return CollapseWeights(measure, tuple(weights.tolist()))
 
     def collapse(self) -> MeasureValue:
         """See :func:`collapse`."""
@@ -212,12 +225,8 @@ class StratifiedMeasure:
 def collapsibility_weights(
     measure: MeasureKind, dist: StratifiedDistribution
 ) -> CollapseWeights:
-    """Weights under which the stratum measures average to the marginal.
-
-    RD collapses directly (weights = proportions); RR/ERR weight by the
-    control mean, SR/RS by the control survival. NNT, OR and log-OR admit
-    no such weights.
-    """
+    """:func:`collapse_weights` of ``dist``'s strata; a stratum where
+    ``measure`` is undefined raises UndefinedMeasure."""
     return StratifiedMeasure(measure, dist).weights()
 
 

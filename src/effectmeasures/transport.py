@@ -39,7 +39,7 @@ from .measures import (
     compute_measure,
     measure_values,
 )
-from .strata import COLLAPSIBLE_MEASURES
+from .strata import COLLAPSIBLE_MEASURES, collapse_weights
 
 __all__ = [
     "CovariateRoles",
@@ -580,10 +580,13 @@ def _gformula_means(trial: TrialSample, target: TargetSample, covariates, learne
         cells, mu0, mu1 = _cell_means(trial, target, covariates)
         present = np.flatnonzero(cells.target_counts)
         counts = cells.target_counts[present]
-        return (
-            _repeated_fsum(mu0[present], counts) / target.n,
-            _repeated_fsum(mu1[present], counts) / target.n,
-        )
+        try:
+            return (
+                _repeated_fsum(mu0[present], counts) / target.n,
+                _repeated_fsum(mu1[present], counts) / target.n,
+            )
+        except OverflowError as exc:  # finite means whose sum over the target overflows
+            raise UndefinedMeasure(f"estimated pair out of range: {exc}") from None
     source = [trial.columns[i] for i in trial.column_indices(covariates)]
     target_columns = [target.columns[i] for i in target.column_indices(covariates)]
     for name, s_column, t_column in zip(covariates, source, target_columns):
@@ -641,14 +644,10 @@ def generalize_local(
     learner: Learner = Learner.CELL_MEANS,
 ) -> GeneralizedEstimate:
     """Estimate the measure per covariate cell on the trial, recombine
-    with target-side collapsibility weights.
-
-    The weights mirror the collapsibility formulas: target proportions
-    for RD; proportions scaled by target control-outcome cell means for
-    RR/ERR (control survival for SR/RS), which is why the non-RD measures
-    need ``target.y0``. For RD the result coincides with the g-formula:
-    least-squares local effects, RD only, are the least-squares
-    g-formula's ``mu1 - mu0``.
+    with :func:`strata.collapse_weights` of the target cell proportions
+    and, except for RD, the target ``y0`` cell means. For RD the result
+    coincides with the g-formula: least-squares local effects, RD only,
+    are the least-squares g-formula's ``mu1 - mu0``.
     """
     if measure not in COLLAPSIBLE_MEASURES:
         raise NonCollapsible(measure)
@@ -671,18 +670,10 @@ def generalize_local(
         local = measure_values(measure, mu0[present], mu1[present], _infer_kind(trial))
     except InvariantViolation as exc:
         raise UndefinedMeasure(f"estimated pair out of range: {exc}") from None
-    proportions = count[present] / target.n
-    if measure is MeasureKind.RD:
-        weights = proportions
-    else:
+    y0_mean = None
+    if measure is not MeasureKind.RD:
         y0_mean = cells.counts(cells.target, target.y0)[present] / count[present]
-        # RR/ERR weigh by the control mean, SR/RS by the control survival
-        ratio_scale = measure in (MeasureKind.RR, MeasureKind.ERR)
-        raw = proportions * (y0_mean if ratio_scale else 1.0 - y0_mean)
-        total = math.fsum(raw.tolist())
-        if total == 0.0:
-            raise UndefinedMeasure("degenerate target control outcomes: all weights zero")
-        weights = raw / total
+    weights = collapse_weights(measure, count[present] / target.n, y0_mean)
     value = math.fsum((weights * local).tolist())
     return GeneralizedEstimate(
         measure, Strategy.LOCAL_EFFECT, value, tuple(covariates), trial.n, target.n

@@ -205,6 +205,16 @@ class TestCollapse:
         assert code == EXIT_OK
         assert json.loads(out)["logic_respecting"] is True
 
+    def test_rr_weights_summing_to_zero_are_undefined(self, capsys, tmp_path):
+        # continuous control means -1 and 1 in equal strata cancel
+        strata = tmp_path / "cancel.csv"
+        strata.write_text("stratum,proportion,mu0,mu1\na,0.5,-1.0,2.0\nb,0.5,1.0,3.0\n")
+        code, _, err = run(
+            capsys, ["collapse", "--strata", str(strata), "--measure", "rr", "--json"]
+        )
+        assert code == EXIT_SEMANTICS
+        assert err.splitlines()[-1].startswith("UndefinedMeasure:")
+
     def test_missing_file_is_io_error(self, capsys):
         code, _, err = run(
             capsys, ["collapse", "--strata", "/nonexistent.csv", "--measure", "rd"]
@@ -321,6 +331,23 @@ class TestTransport:
         code, value = self.estimate(capsys, *toy_files, "rr", "ipsw")
         assert code == EXIT_OK
         assert value == pytest.approx(25 / 14, rel=1e-12)
+
+    def test_gformula_sum_beyond_the_float_range_is_undefined(self, capsys, tmp_path):
+        # finite cell means whose sum over the 400 target rows overflows
+        trial, target = tmp_path / "trial.csv", tmp_path / "target.csv"
+        trial.write_text("x,a,y\n" + "".join(f"{i % 2},{i // 2 % 2},1e306\n" for i in range(400)))
+        target.write_text("x\n" + "0\n1\n" * 200)
+        code, out, err = run(
+            capsys,
+            [
+                "transport", "--trial", str(trial), "--target", str(target),
+                "--measure", "rd", "--strategy", "gformula", "--covariates", "x", "--json",
+            ],
+        )
+        assert code == EXIT_SEMANTICS
+        assert out == ""
+        assert err.splitlines()[-1].startswith("UndefinedMeasure:")
+        assert "Traceback" not in err
 
     def test_unshifted_target_returns_trial_contrast(self, capsys, toy_files, tmp_path):
         trial_path, _ = toy_files

@@ -43,6 +43,12 @@ from effectmeasures.transport import (
 )
 from effectmeasures import transport
 from effectmeasures.simbench import estimators
+from effectmeasures.strata import (
+    COLLAPSIBLE_MEASURES,
+    StratifiedDistribution,
+    Stratum,
+    collapse,
+)
 from effectmeasures.transport import _Cells, _code_column, _repeated_fsum
 
 BENEFICIAL = MonotonicityDirection.BENEFICIAL
@@ -432,6 +438,25 @@ class TestFailureModes:
         with pytest.raises(UndefinedMeasure):
             gformula_conditional(trial, target, MeasureKind.OR, ("x",))
 
+    @pytest.mark.parametrize(
+        "measure, y0",
+        [
+            (MeasureKind.RR, 0.0),
+            (MeasureKind.ERR, 0.0),
+            (MeasureKind.SR, 1.0),
+            (MeasureKind.RS, 1.0),
+        ],
+    )
+    def test_local_weights_that_sum_to_zero_are_undefined(self, measure, y0):
+        # each cell's trial means lie inside (0, 1); only the target's
+        # control outcomes give every cell zero weight
+        trial = TrialSample(
+            ("x",), [(0,)] * 4 + [(1,)] * 4, [0, 0, 1, 1] * 2, [0.0, 1.0, 1.0, 1.0] * 2
+        )
+        target = TargetSample(("x",), ((0,), (1,), (1,)), (y0, y0, y0))
+        with pytest.raises(UndefinedMeasure):
+            generalize_local(trial, target, measure, ("x",))
+
 
 def _outcome(estimate):
     """An estimate's value, or the type of the error it raised."""
@@ -513,6 +538,41 @@ class TestLoopReference:
 
 
 I64 = np.iinfo(np.int64)
+
+
+@st.composite
+def cell_tables(draw):
+    """Per-cell binary counts ((n_a1_y1, n_a1_y0), (n_a0_y1, n_a0_y0)), each
+    arm with at least one row."""
+    arm = st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda n: sum(n) > 0)
+    return draw(st.lists(st.tuples(arm, arm), min_size=1, max_size=5))
+
+
+class TestOneWeightRule:
+    @settings(max_examples=200, deadline=None)
+    @given(table=cell_tables())
+    def test_local_equals_collapse_on_the_same_cells(self, table):
+        # the target's y0 rows are the trial's arm-0 rows of each cell, so
+        # its proportions and y0 means equal the strata's bit for bit
+        x, a, y, target_x, y0 = [], [], [], [], []
+        for cell, ((n11, n10), (n01, n00)) in enumerate(table):
+            for arm, outcome, n in ((1, 1.0, n11), (1, 0.0, n10), (0, 1.0, n01), (0, 0.0, n00)):
+                x += [(cell,)] * n
+                a += [arm] * n
+                y += [outcome] * n
+                if arm == 0:
+                    target_x += [(cell,)] * n
+                    y0 += [outcome] * n
+        trial = TrialSample(("x",), x, a, y)
+        target = TargetSample(("x",), target_x, y0)
+        strata = [
+            Stratum.from_counts(str(cell), sum(counts[1]) / target.n, counts)
+            for cell, counts in enumerate(table)
+        ]
+        dist = StratifiedDistribution(tuple(strata), OutcomeKind.BINARY)
+        for measure in COLLAPSIBLE_MEASURES:
+            local = _outcome(lambda: generalize_local(trial, target, measure, ("x",)))
+            assert local == _outcome(lambda: collapse(measure, dist)), measure
 
 
 def _unique_codes(source, target):
