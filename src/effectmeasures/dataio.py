@@ -25,7 +25,6 @@ from .genmodel import (
     LogitOutcomeModel,
 )
 from .measures import MeasureKind, OutcomeKind, OutcomePair, measure_table
-from .measures import all_measures  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .strata import StratifiedDistribution, Stratum
 from .transport import CovariateRoles, TargetSample, TrialSample, stack_columns
 

@@ -11,6 +11,7 @@ any worker count.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from .genmodel import (
     population_measures_binary,
     potential_mean,
 )
-from .measures import MeasureKind, OutcomeKind, UndefinedMeasure
+from .measures import MeasureKind, UndefinedMeasure
 from .transport import (
     GeneralizedEstimate,
     Learner,
@@ -130,22 +131,35 @@ class AggregateReport:
 
 class Scenario:
     """A fully specified generative study: covariate distributions per
-    population, an outcome model, Bernoulli(0.5) treatment assignment,
-    and default sample sizes."""
+    population (``_sample_x``), an outcome model (``_outcome``),
+    Bernoulli(0.5) treatment assignment, the estimator configurations the
+    study compares, and default sample sizes."""
 
     name: str
     covariates: tuple[str, ...]
-    outcome: OutcomeKind
     learner: Learner  # how its estimators fit conditional means
+    config: tuple[EstimatorConfig, ...]  # the covariate-set comparison the study is about
+    target_y0: bool  # whether target samples carry control outcomes
     default_n: int
     default_m: int
     default_reps: int
 
-    def sample_trial(self, rng: np.random.Generator, n: int) -> TrialSample:
+    def _sample_x(self, rng: np.random.Generator, size: int, population: str) -> np.ndarray:
         raise NotImplementedError
 
-    def sample_target(self, rng: np.random.Generator, m: int) -> TargetSample:
+    def _outcome(self, rng: np.random.Generator, x: np.ndarray, a) -> np.ndarray:
+        """Outcomes drawn for the rows ``x`` under arm(s) ``a``."""
         raise NotImplementedError
+
+    def sample_trial(self, rng: np.random.Generator, n: int) -> TrialSample:
+        x = self._sample_x(rng, n, "source")
+        a = rng.binomial(1, 0.5, n)
+        return TrialSample(self.covariates, x, a, self._outcome(rng, x, a))
+
+    def sample_target(self, rng: np.random.Generator, m: int) -> TargetSample:
+        x = self._sample_x(rng, m, "target")
+        y0 = self._outcome(rng, x, 0) if self.target_y0 else None
+        return TargetSample(self.covariates, x, y0)
 
     def ground_truth(self, measure: MeasureKind, population: str = "target") -> float:
         raise NotImplementedError
@@ -163,8 +177,15 @@ class _ContinuousLinear(Scenario):
 
     name = "continuous-linear"
     covariates = ("X1", "X2", "X3", "X4", "X5", "X6")
-    outcome = OutcomeKind.CONTINUOUS
     learner = Learner.LEAST_SQUARES
+    config = (
+        EstimatorConfig(MeasureKind.RD, "gformula", ("X1", "X2")),
+        EstimatorConfig(MeasureKind.RD, "local", ("X1", "X2")),
+        EstimatorConfig(MeasureKind.RD, "gformula", ("X1", "X2", "X3", "X4")),
+        EstimatorConfig(MeasureKind.RR, "gformula", ("X1", "X2")),
+        EstimatorConfig(MeasureKind.RR, "gformula", ("X1", "X2", "X3", "X4")),
+    )
+    target_y0 = False
     default_n = 2000
     default_m = 5000
     default_reps = 50
@@ -195,16 +216,9 @@ class _ContinuousLinear(Scenario):
         x6 = rng.normal(4.0, 1.0, size)
         return np.column_stack([x123, x4, x5, x6])
 
-    def sample_trial(self, rng: np.random.Generator, n: int) -> TrialSample:
-        x = self._sample_x(rng, n, "source")
-        a = rng.binomial(1, 0.5, n)
-        eps = rng.normal(0.0, self._NOISE_SD, n)
-        y = self._b(x) + a * self._m(x) + eps
-        return TrialSample(self.covariates, x, a, y)
-
-    def sample_target(self, rng: np.random.Generator, m: int) -> TargetSample:
-        x = self._sample_x(rng, m, "target")
-        return TargetSample(self.covariates, x)
+    def _outcome(self, rng: np.random.Generator, x: np.ndarray, a) -> np.ndarray:
+        eps = rng.normal(0.0, self._NOISE_SD, len(x))
+        return self._b(x) + a * self._m(x) + eps
 
     def _moments(self, population: str) -> tuple[float, float]:
         # b and m are linear, so their means are their values at the covariate means
@@ -222,88 +236,60 @@ class _ContinuousLinear(Scenario):
         raise UndefinedMeasure(f"{measure.value} is undefined for a continuous outcome")
 
 
-def _roulette_cells() -> tuple[tuple, ...]:
-    return tuple((l, s, g) for l in (0, 1) for s in (0, 1) for g in (0, 1))
-
-
-def _bernoulli_cell_probs(rates: tuple[float, float, float]) -> tuple[float, ...]:
-    out = []
-    for cell in _roulette_cells():
-        p = 1.0
-        for value, rate in zip(cell, rates):
-            p *= rate if value == 1 else 1.0 - rate
-        out.append(p)
-    return tuple(out)
-
-
 class _RouletteHeterogeneous(Scenario):
     """Binary outcome with a harmful, heterogeneous effect.
 
     Baseline risk b depends on all three covariates, the switch-on
     probability m_b only on stress and gender, and the switch-off
     probability is identically zero. Lifestyle and stress shift between
-    populations; gender does not.
+    populations; gender does not. The covariates are independent
+    Bernoulli draws, so the model is a ``genmodel`` space and
+    entanglement model over the eight cells, built once per instance.
     """
 
     name = "roulette-heterogeneous"
     covariates = ("lifestyle", "stress", "gender")
-    outcome = OutcomeKind.BINARY
     learner = Learner.CELL_MEANS
+    config = (
+        EstimatorConfig(MeasureKind.SR, "local", ("stress",)),
+        EstimatorConfig(MeasureKind.RD, "ipsw", ("stress",)),
+        EstimatorConfig(MeasureKind.RD, "gformula", ("stress",)),
+        EstimatorConfig(MeasureKind.SR, "local", ("lifestyle", "stress")),
+        EstimatorConfig(MeasureKind.RD, "ipsw", ("lifestyle", "stress")),
+        EstimatorConfig(MeasureKind.RR, "gformula", ("lifestyle", "stress")),
+        EstimatorConfig(MeasureKind.OR, "gformula", ("lifestyle", "stress")),
+    )
+    target_y0 = True
     default_n = 10000
     default_m = 20000
     default_reps = 20
 
     _RATES = {"source": (0.4, 0.8, 0.5), "target": (0.6, 0.2, 0.5)}
 
-    @staticmethod
-    def _b(lifestyle: int, stress: int, gender: int) -> float:
-        return (
-            (0.2 if lifestyle == 1 else 0.05)
-            * (2.0 if stress == 1 else 1.0)
-            * (0.5 if gender == 1 else 1.0)
-        )
-
-    @staticmethod
-    def _m_b(lifestyle: int, stress: int, gender: int) -> float:
-        if stress == 1:
-            return 1.0 / 4.0
-        return 1.0 / 10.0 if gender == 1 else 1.0 / 6.0
-
     def __init__(self) -> None:
-        cells = _roulette_cells()
-        self.space = DiscreteCovariateSpace(
-            self.covariates,
-            cells,
-            {pop: _bernoulli_cell_probs(rates) for pop, rates in self._RATES.items()},
-        )
+        cells = tuple(itertools.product((0, 1), repeat=3))  # (lifestyle, stress, gender)
+        probabilities = {
+            pop: tuple(math.prod(r if v else 1.0 - r for v, r in zip(c, rates)) for c in cells)
+            for pop, rates in self._RATES.items()
+        }
+        self.space = DiscreteCovariateSpace(self.covariates, cells, probabilities)
         self.model = EntanglementModel(
-            {c: self._b(*c) for c in cells},
-            {c: self._m_b(*c) for c in cells},
-            {c: 0.0 for c in cells},
+            b={
+                (l, s, g): (0.2 if l else 0.05) * (2.0 if s else 1.0) * (0.5 if g else 1.0)
+                for l, s, g in cells
+            },
+            m_b={(l, s, g): 0.25 if s else (0.1 if g else 1.0 / 6.0) for l, s, g in cells},
+            m_g={c: 0.0 for c in cells},
         )
         # outcome risk by (arm, cell)
         self.risk = np.array([[potential_mean(self.model, a, c) for c in cells] for a in (0, 1)])
 
     def _sample_x(self, rng: np.random.Generator, size: int, population: str) -> np.ndarray:
-        rates = self._RATES[population]
-        cols = [rng.binomial(1, rate, size) for rate in rates]
-        return np.column_stack(cols)
+        return np.column_stack([rng.binomial(1, rate, size) for rate in self._RATES[population]])
 
-    @staticmethod
-    def _cell(x: np.ndarray) -> np.ndarray:
-        """Each row's index into ``_roulette_cells()``."""
-        return 4 * x[:, 0] + 2 * x[:, 1] + x[:, 2]
-
-    def sample_trial(self, rng: np.random.Generator, n: int) -> TrialSample:
-        x = self._sample_x(rng, n, "source")
-        a = rng.binomial(1, 0.5, n)
-        y = rng.binomial(1, self.risk[a, self._cell(x)])
-        return TrialSample(self.covariates, x, a, y)
-
-    def sample_target(self, rng: np.random.Generator, m: int) -> TargetSample:
-        x = self._sample_x(rng, m, "target")
-        y0 = rng.binomial(1, self.risk[0, self._cell(x)])
-        return TargetSample(self.covariates, x, y0)
+    def _outcome(self, rng: np.random.Generator, x: np.ndarray, a) -> np.ndarray:
+        l, s, g = x.T
+        return rng.binomial(1, self.risk[a, 4 * l + 2 * s + g])
 
     def ground_truth(self, measure: MeasureKind, population: str = "target") -> float:
         for entry in population_measures_binary(self.model, self.space, population):
@@ -333,25 +319,7 @@ def ground_truth(scenario: Scenario, measure: MeasureKind, population: str = "ta
 
 def default_config(scenario: Scenario) -> tuple[EstimatorConfig, ...]:
     """The covariate-set comparison each study is about."""
-    if scenario.outcome is OutcomeKind.CONTINUOUS:
-        small, full = ("X1", "X2"), ("X1", "X2", "X3", "X4")
-        return (
-            EstimatorConfig(MeasureKind.RD, "gformula", small),
-            EstimatorConfig(MeasureKind.RD, "local", small),
-            EstimatorConfig(MeasureKind.RD, "gformula", full),
-            EstimatorConfig(MeasureKind.RR, "gformula", small),
-            EstimatorConfig(MeasureKind.RR, "gformula", full),
-        )
-    small, full = ("stress",), ("lifestyle", "stress")
-    return (
-        EstimatorConfig(MeasureKind.SR, "local", small),
-        EstimatorConfig(MeasureKind.RD, "ipsw", small),
-        EstimatorConfig(MeasureKind.RD, "gformula", small),
-        EstimatorConfig(MeasureKind.SR, "local", full),
-        EstimatorConfig(MeasureKind.RD, "ipsw", full),
-        EstimatorConfig(MeasureKind.RR, "gformula", full),
-        EstimatorConfig(MeasureKind.OR, "gformula", full),
-    )
+    return scenario.config
 
 
 def _validate_config(scenario: Scenario, config: tuple[EstimatorConfig, ...]) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -112,6 +113,11 @@ class StratifiedDistribution:
         total = math.fsum(s.proportion for s in self.strata)
         if abs(total - 1.0) > 1e-10:
             raise InvariantViolation(f"stratum proportions sum to {total!r}, expected 1")
+        duplicates = sorted(
+            label for label, k in Counter(s.label for s in self.strata).items() if k > 1
+        )
+        if duplicates:
+            raise InvariantViolation(f"duplicate stratum labels: {duplicates}")
         for s in self.strata:
             if s.pair.kind is not self.kind:
                 raise InvariantViolation(
@@ -147,7 +153,10 @@ def collapse_weights(
     """Weights under which stratum values of ``measure`` average to its
     marginal: the proportions as given for RD (``control_means`` may then
     be None); for RR/ERR the proportions times the control means, for
-    SR/RS times the control survivals, normalized to sum to one."""
+    SR/RS times the control survivals, normalized to sum to one.
+    Collapsibility asks for nonnegative weights, so control outcomes of
+    mixed sign raise UndefinedMeasure; all negative ones normalize to
+    positive weights and are accepted."""
     if measure not in COLLAPSIBLE_MEASURES:
         raise NonCollapsible(measure)
     if measure is MeasureKind.RD:
@@ -159,7 +168,12 @@ def collapse_weights(
     total = math.fsum(raw.tolist())
     if total == 0.0:
         raise UndefinedMeasure(f"{measure.value} weights sum to zero: degenerate control outcomes")
-    return raw / total
+    weights = raw / total
+    if (weights < 0.0).any():
+        raise UndefinedMeasure(
+            f"{measure.value} weights change sign across strata: control outcomes of mixed sign"
+        )
+    return weights
 
 
 def marginal_pair(dist: StratifiedDistribution) -> OutcomePair:

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import inspect
 import json
 
@@ -215,6 +216,29 @@ class TestCollapse:
         assert code == EXIT_SEMANTICS
         assert err.splitlines()[-1].startswith("UndefinedMeasure:")
 
+    def test_rr_weights_that_change_sign_are_undefined(self, capsys, tmp_path):
+        # continuous control means -1 and 2: normalized weights -1 and 2
+        strata = tmp_path / "signs.csv"
+        strata.write_text("stratum,proportion,mu0,mu1\na,0.5,-1.0,2.0\nb,0.5,2.0,3.0\n")
+        code, out, err = run(
+            capsys, ["collapse", "--strata", str(strata), "--measure", "rr", "--json"]
+        )
+        assert code == EXIT_SEMANTICS
+        assert out == ""
+        assert err.splitlines()[-1].startswith("UndefinedMeasure:")
+        assert "change sign" in err and "Traceback" not in err
+
+    def test_duplicate_stratum_labels_are_validation_errors(self, capsys, tmp_path):
+        strata = tmp_path / "dup.csv"
+        strata.write_text("stratum,proportion,mu0,mu1\na,0.5,0.1,0.2\na,0.5,0.3,0.5\n")
+        code, out, err = run(
+            capsys, ["collapse", "--strata", str(strata), "--measure", "rd", "--json"]
+        )
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.splitlines()[-1].startswith("InvariantViolation:")
+        assert "duplicate stratum labels: ['a']" in err and "Traceback" not in err
+
     def test_missing_file_is_io_error(self, capsys):
         code, _, err = run(
             capsys, ["collapse", "--strata", "/nonexistent.csv", "--measure", "rd"]
@@ -348,6 +372,23 @@ class TestTransport:
         assert out == ""
         assert err.splitlines()[-1].startswith("UndefinedMeasure:")
         assert "Traceback" not in err
+
+    def test_local_rr_weights_that_change_sign_are_undefined(self, capsys, tmp_path):
+        # target control means -1 and 2 in equal cells: normalized weights -1 and 2
+        trial, target = tmp_path / "trial.csv", tmp_path / "target.csv"
+        trial.write_text("x,a,y\n0,0,-1.0\n0,1,2.0\n1,0,2.0\n1,1,3.0\n")
+        target.write_text("x,y0\n0,-1.0\n1,2.0\n")
+        code, out, err = run(
+            capsys,
+            [
+                "transport", "--trial", str(trial), "--target", str(target),
+                "--measure", "rr", "--strategy", "local", "--covariates", "x",
+            ],
+        )
+        assert code == EXIT_SEMANTICS
+        assert out == ""
+        assert err.splitlines()[-1].startswith("UndefinedMeasure:")
+        assert "change sign" in err and "Traceback" not in err
 
     def test_unshifted_target_returns_trial_contrast(self, capsys, toy_files, tmp_path):
         trial_path, _ = toy_files
@@ -550,6 +591,28 @@ class TestSimulate:
             capsys.readouterr()
             contents.append(out_path.read_bytes())
         assert contents[0] == contents[1]
+
+    @pytest.mark.parametrize(
+        "scenario, sha256",
+        [
+            ("roulette-heterogeneous",
+             "23435de0a856cf399de00662580d5d600d78405b4d2e17e00aa3c69f67661739"),
+            ("continuous-linear",
+             "b369e864a4c2aa3cc730d13d6c02273271cd0a633fe8c0e3d17d46574c0696c4"),
+        ],
+        ids=["roulette-heterogeneous", "continuous-linear"],
+    )
+    def test_report_bytes_are_pinned(self, capsys, tmp_path, scenario, sha256):
+        """The draw order of each study's sampler, and so every estimate,
+        is fixed for a seed: a reordered draw changes these bytes."""
+        out_path = tmp_path / "report.csv"
+        argv = [
+            "simulate", "--scenario", scenario, "--seed", "1", "--reps", "2",
+            "--n", "400", "--m", "600", "--out", str(out_path),
+        ]
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == sha256
 
     def test_json_summaries(self, capsys, tmp_path):
         out_path = tmp_path / "report.csv"

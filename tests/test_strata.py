@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import random_distribution
@@ -17,6 +18,7 @@ from effectmeasures.strata import (
     Stratum,
     check_logic_respecting,
     collapse,
+    collapse_weights,
     collapsibility_weights,
     find_or_noncollapsibility_example,
     is_homogeneous,
@@ -75,6 +77,32 @@ class TestWeights:
         )
         with pytest.raises(UndefinedMeasure):
             collapsibility_weights(MeasureKind.RR, bad)
+
+    @staticmethod
+    def continuous(*strata):
+        return StratifiedDistribution(
+            tuple(
+                Stratum(label, 0.5, OutcomePair(mu0, mu1, OutcomeKind.CONTINUOUS))
+                for label, mu0, mu1 in strata
+            ),
+            OutcomeKind.CONTINUOUS,
+        )
+
+    @pytest.mark.parametrize("measure", [MeasureKind.RR, MeasureKind.ERR])
+    def test_weights_that_change_sign_are_undefined(self, measure):
+        # control means -1 and 2 give raw weights -0.5 and 1.0, normalized to -1 and 2
+        dist = self.continuous(("a", -1.0, 2.0), ("b", 2.0, 3.0))
+        with pytest.raises(UndefinedMeasure, match="change sign"):
+            collapsibility_weights(measure, dist)
+        with pytest.raises(UndefinedMeasure, match="change sign"):
+            collapse_weights(measure, np.array([0.5, 0.5]), np.array([-1.0, 2.0]))
+
+    def test_all_negative_control_means_are_accepted(self):
+        dist = self.continuous(("a", -1.0, -2.0), ("b", -3.0, -4.0))
+        assert collapsibility_weights(MeasureKind.RR, dist).weights == (0.25, 0.75)
+        assert collapse(MeasureKind.RR, dist).value == pytest.approx(
+            compute_measure(MeasureKind.RR, marginal_pair(dist)).value, rel=1e-12
+        )
 
 
 class TestCollapse:
@@ -212,6 +240,16 @@ class TestValidation:
         stratum = Stratum.from_counts("f1", 1.0, ((60, 40), (20, 80)))
         assert stratum.pair.mu1 == 0.6
         assert stratum.pair.mu0 == 0.2
+
+    def test_duplicate_labels_rejected(self):
+        with pytest.raises(InvariantViolation, match=r"duplicate stratum labels: \['a'\]"):
+            StratifiedDistribution(
+                (
+                    Stratum("a", 0.5, OutcomePair(0.1, 0.2, OutcomeKind.BINARY)),
+                    Stratum("a", 0.5, OutcomePair(0.3, 0.5, OutcomeKind.BINARY)),
+                ),
+                OutcomeKind.BINARY,
+            )
 
     def test_mixed_kinds_rejected(self):
         with pytest.raises(InvariantViolation):

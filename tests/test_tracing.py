@@ -63,6 +63,8 @@ def test_simulate_counts_and_times_every_estimator(tmp_path, scenario, sizes):
     assert metrics["simbench.estimates"] + metrics["simbench.estimates_failed"] == reps * len(config)
     for entry in config:
         assert metrics[span_metric(entry.strategy, study.learner.value)] > 0, entry
+    assert metrics["simbench.sample_trial_s"] > 0
+    assert metrics["simbench.sample_target_s"] > 0
 
 
 @pytest.mark.parametrize("name", list(estimators()))
