@@ -14,7 +14,6 @@ cells, so they serve as oracles for the sample-based estimators.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -36,6 +35,7 @@ from .measures import (
     OutcomePair,
     UndefinedAnnotation,
 )
+from .vocab import MonotonicityDirection
 
 __all__ = [
     "Cell",
@@ -160,12 +160,6 @@ class LogitOutcomeModel:
 
 
 Model = ContinuousOutcomeModel | EntanglementModel | LogitOutcomeModel
-
-
-class MonotonicityDirection(enum.Enum):
-    BENEFICIAL = "beneficial"  # treatment never causes the event: m_b == 0
-    HARMFUL = "harmful"  # treatment never prevents the event: m_g == 0
-    NON_MONOTONE = "non-monotone"
 
 
 def _cell_value(fn: Mapping[Cell, float], cell: Cell, what: str) -> float:

@@ -9,7 +9,6 @@ functions are views over it.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -17,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvariantViolation, UndefinedMeasure
+from .vocab import MeasureKind, OutcomeKind
 
 __all__ = [
     "OutcomeKind",
@@ -35,11 +35,6 @@ __all__ = [
     "rr_feasible_baseline",
     "FeasibleBaseline",
 ]
-
-
-class OutcomeKind(enum.Enum):
-    CONTINUOUS = "continuous"
-    BINARY = "binary"
 
 
 @dataclass(frozen=True)
@@ -76,17 +71,6 @@ class OutcomePair:
                 f"nonevent {self.nonevent!r} must be binary probabilities "
                 f"whose complements are ({self.mu0!r}, {self.mu1!r})"
             )
-
-
-class MeasureKind(enum.Enum):
-    RD = "rd"
-    RR = "rr"
-    SR = "sr"
-    ERR = "err"
-    RS = "rs"
-    NNT = "nnt"
-    OR = "or"
-    LOG_OR = "log_or"
 
 
 #: Measures that only make sense for event probabilities.

@@ -38,6 +38,7 @@ from .transport import (
     gformula_conditional,
     ipsw_conditional,
 )
+from .vocab import ESTIMATOR_NAMES
 
 __all__ = [
     "Scenario",
@@ -71,11 +72,12 @@ def estimators() -> dict[str, Estimator]:
     """The estimators by the names study configurations and ``transport
     --strategy`` use; built on each call from this module's bindings, so a
     wrapper installed over one of them (as perfbench's tracer does) is run."""
-    return {
-        "gformula": Estimator(gformula_conditional, Strategy.CONDITIONAL_OUTCOME, tuple(Learner)),
-        "ipsw": Estimator(ipsw_conditional, Strategy.CONDITIONAL_OUTCOME, (Learner.CELL_MEANS,)),
-        "local": Estimator(generalize_local, Strategy.LOCAL_EFFECT, tuple(Learner)),
-    }
+    rows = (
+        Estimator(gformula_conditional, Strategy.CONDITIONAL_OUTCOME, tuple(Learner)),
+        Estimator(ipsw_conditional, Strategy.CONDITIONAL_OUTCOME, (Learner.CELL_MEANS,)),
+        Estimator(generalize_local, Strategy.LOCAL_EFFECT, tuple(Learner)),
+    )
+    return dict(zip(ESTIMATOR_NAMES, rows, strict=True))
 
 
 def estimator(name: str, learner: Learner) -> Callable[..., GeneralizedEstimate]:

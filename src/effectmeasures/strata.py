@@ -52,6 +52,19 @@ COLLAPSIBLE_MEASURES = frozenset(
 _COUNT_TOL = 1e-12
 
 
+def _count_risks(label: str, counts) -> tuple[float, float]:
+    """The risks ``(mu0, mu1)`` of a 2x2 table ((n_a1_y1, n_a1_y0),
+    (n_a0_y1, n_a0_y0)). An empty arm has no risk, so the table is
+    refused as invalid whatever measure is asked of it."""
+    (n11, n10), (n01, n00) = counts
+    for n in (n11, n10, n01, n00):
+        if n < 0 or n != int(n):
+            raise InvariantViolation(f"stratum {label!r}: counts must be nonnegative integers")
+    if n11 + n10 == 0 or n01 + n00 == 0:
+        raise InvariantViolation(f"stratum {label!r}: both treatment arms need observations")
+    return n01 / (n01 + n00), n11 / (n11 + n10)
+
+
 @dataclass(frozen=True)
 class Stratum:
     """One covariate stratum: its population share and outcome pair.
@@ -72,18 +85,7 @@ class Stratum:
                 f"stratum {self.label!r}: proportion must lie in (0, 1], got {self.proportion!r}"
             )
         if self.counts is not None:
-            (n11, n10), (n01, n00) = self.counts
-            for n in (n11, n10, n01, n00):
-                if n < 0 or n != int(n):
-                    raise InvariantViolation(
-                        f"stratum {self.label!r}: counts must be nonnegative integers"
-                    )
-            if n11 + n10 == 0 or n01 + n00 == 0:
-                raise InvariantViolation(
-                    f"stratum {self.label!r}: both treatment arms need observations"
-                )
-            mu1 = n11 / (n11 + n10)
-            mu0 = n01 / (n01 + n00)
+            mu0, mu1 = _count_risks(self.label, self.counts)
             if abs(mu1 - self.pair.mu1) > _COUNT_TOL or abs(mu0 - self.pair.mu0) > _COUNT_TOL:
                 raise InvariantViolation(
                     f"stratum {self.label!r}: pair ({self.pair.mu0}, {self.pair.mu1}) "
@@ -97,8 +99,7 @@ class Stratum:
         proportion: float,
         counts: tuple[tuple[int, int], tuple[int, int]],
     ) -> "Stratum":
-        (n11, n10), (n01, n00) = counts
-        pair = OutcomePair(n01 / (n01 + n00), n11 / (n11 + n10), OutcomeKind.BINARY)
+        pair = OutcomePair(*_count_risks(label, counts), OutcomeKind.BINARY)
         return cls(label, proportion, pair, counts)
 
 

@@ -15,7 +15,6 @@ supply control outcomes.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -31,7 +30,6 @@ from .errors import (
     SupportViolation,
     UndefinedMeasure,
 )
-from .genmodel import MonotonicityDirection
 from .measures import (
     MeasureKind,
     OutcomeKind,
@@ -40,6 +38,7 @@ from .measures import (
     measure_values,
 )
 from .strata import COLLAPSIBLE_MEASURES, collapse_weights
+from .vocab import Learner, MonotonicityDirection, Strategy
 
 __all__ = [
     "CovariateRoles",
@@ -58,16 +57,6 @@ __all__ = [
     "least_squares_fit",
     "stack_columns",
 ]
-
-
-class Strategy(enum.Enum):
-    CONDITIONAL_OUTCOME = "conditional"
-    LOCAL_EFFECT = "local"
-
-
-class Learner(enum.Enum):
-    CELL_MEANS = "cell-means"
-    LEAST_SQUARES = "least-squares"
 
 
 @dataclass(frozen=True)
@@ -550,17 +539,18 @@ def _repeated_fsum(values: np.ndarray, counts: np.ndarray) -> float:
     return math.fsum(np.concatenate([c * part for c in times for part in (high, low)]).tolist())
 
 
-def _contrast(trial: TrialSample, target: TargetSample, measure, covariates, means):
-    """The conditional-outcome estimate: ``measure`` of the generalized
-    arm means ``(mu0, mu1)``."""
+def _contrast(
+    trial: TrialSample, target: TargetSample, measure, covariates, means,
+    strategy: Strategy = Strategy.CONDITIONAL_OUTCOME,
+):
+    """``measure`` of the generalized arm means ``(mu0, mu1)``, by the
+    measure kernel, as the estimate of ``strategy``."""
     try:
         pair = OutcomePair(float(means[0]), float(means[1]), _infer_kind(trial))
     except InvariantViolation as exc:
         raise UndefinedMeasure(f"estimated pair out of range: {exc}") from None
     value = compute_measure(measure, pair).value
-    return GeneralizedEstimate(
-        measure, Strategy.CONDITIONAL_OUTCOME, value, tuple(covariates), trial.n, target.n
-    )
+    return GeneralizedEstimate(measure, strategy, value, tuple(covariates), trial.n, target.n)
 
 
 def least_squares_fit(x_rows: Sequence[Sequence[float]], y: Sequence[float]) -> np.ndarray:
@@ -654,10 +644,8 @@ def generalize_local(
     if learner is Learner.LEAST_SQUARES:
         if measure is not MeasureKind.RD:
             raise UndefinedMeasure("least-squares local effects are supported for RD only")
-        mu0, mu1 = _gformula_means(trial, target, covariates, learner)
-        return GeneralizedEstimate(
-            measure, Strategy.LOCAL_EFFECT, mu1 - mu0, tuple(covariates), trial.n, target.n
-        )
+        means = _gformula_means(trial, target, covariates, learner)
+        return _contrast(trial, target, measure, covariates, means, Strategy.LOCAL_EFFECT)
 
     if measure is not MeasureKind.RD and target.y0 is None:
         raise MissingTargetControlOutcome(

@@ -2,6 +2,10 @@ import ast
 import hashlib
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -373,6 +377,29 @@ class TestTransport:
         assert err.splitlines()[-1].startswith("UndefinedMeasure:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("learner", [l.value for l in Learner])
+    @pytest.mark.parametrize("strategy", ["gformula", "local"])
+    def test_rd_beyond_the_float_range_is_undefined(self, capsys, tmp_path, strategy, learner):
+        """Finite arm means whose difference overflows exit 3; the same
+        files scaled down print strict JSON."""
+        trial, target = tmp_path / "trial.csv", tmp_path / "target.csv"
+        target.write_text("x\n1\n")
+        argv = [
+            "transport", "--trial", str(trial), "--target", str(target), "--measure", "rd",
+            "--strategy", strategy, "--learner", learner, "--covariates", "x", "--json",
+        ]
+        for y in ("1", "1e308"):
+            trial.write_text(f"x,a,y\n0,0,{y}\n1,0,{y}\n0,1,-{y}\n1,1,-{y}\n")
+            code, out, err = run(capsys, argv)
+            if y == "1":
+                assert code == EXIT_OK
+                record = json.loads(out, parse_constant=_reject_constant)
+                assert record["value"] == pytest.approx(-2.0)
+            else:
+                assert code == EXIT_SEMANTICS and out == ""
+                assert err.splitlines()[-1].startswith("UndefinedMeasure: rd is not finite")
+                assert "Traceback" not in err
+
     def test_local_rr_weights_that_change_sign_are_undefined(self, capsys, tmp_path):
         # target control means -1 and 2 in equal cells: normalized weights -1 and 2
         trial, target = tmp_path / "trial.csv", tmp_path / "target.csv"
@@ -556,6 +583,12 @@ class TestEstimatorTable:
         literals = _string_literals(cli)
         assert not literals & set(estimators())
         assert not literals & {s.value for s in Strategy}
+
+    def test_learner_choices_are_the_enum_values(self):
+        commands = build_parser()._subparsers._group_actions[0].choices
+        learner = next(a for a in commands["transport"]._actions if a.dest == "learner")
+        assert learner.choices == [l.value for l in Learner]
+        assert learner.default == Learner.CELL_MEANS.value
 
 
 def _reject_constant(name):
@@ -762,6 +795,13 @@ _BOUNDARY_INPUTS = {
         ["plan", "--roles", "{roles}", *_ROLE_ARGS],
         "ParseError",
     ),
+    "strata-empty-arm": (
+        # an arm without rows has no risk, in any measure: the table is invalid
+        {"strata": b"stratum,proportion,n_a1_y1,n_a1_y0,n_a0_y1,n_a0_y0\n"
+                   b"s0,0.5,0,0,1,5\ns1,0.5,3,4,1,5\n"},
+        ["collapse", "--strata", "{strata}", "--measure", "rd"],
+        "InvariantViolation",
+    ),
     "roles-string-for-names": (
         {"roles": b'{"covariates": "ls", "baseline": "l", "modulator": "s", "shifted": "ls"}'},
         ["plan", "--roles", "{roles}", *_ROLE_ARGS],
@@ -835,3 +875,57 @@ class TestCollapseEvaluatesOnce:
         code, out, err = run(capsys, ["collapse", "--strata", str(path), "--measure", "rd"])
         assert code == EXIT_VALIDATION and out == ""
         assert err.splitlines()[-1].startswith("ParseError:")
+
+
+_PROBE = """
+import json, sys
+from effectmeasures.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+"""
+
+
+def _fresh_run(cwd: Path, *argvs: list[str]) -> tuple[list[int], set[str]]:
+    """Run ``main`` on each of ``argvs`` in one new interpreter; return
+    the exit codes and the modules loaded at the end."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(argvs)],
+        cwd=cwd, env=env, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(done.stdout.splitlines()[-1])
+    return result["codes"], set(result["modules"])
+
+
+class TestStartUp:
+    """The parser, ``--help`` and argument errors load no numerical module;
+    each command loads the modules it runs."""
+
+    def test_help_and_usage_errors_load_no_numpy(self, tmp_path):
+        commands = list(build_parser()._subparsers._group_actions[0].choices)
+        assert len(commands) == 6
+        codes, modules = _fresh_run(
+            tmp_path, ["--help"], *([c, "--help"] for c in commands),
+            ["transport", "--measure", "xx"],
+        )
+        assert codes == [EXIT_OK] * 7 + [EXIT_VALIDATION]
+        assert "numpy" not in modules
+        assert {m for m in modules if m.startswith("effectmeasures")} == {
+            "effectmeasures", "effectmeasures.cli", "effectmeasures.errors",
+            "effectmeasures.vocab",
+        }
+
+    def test_each_command_loads_what_it_runs(self, tmp_path):
+        codes, modules = _fresh_run(tmp_path, ["grid", "--resolution", "2", "--out", "g.csv"])
+        assert codes == [EXIT_OK]
+        assert "effectmeasures.dataio" in modules
+        assert "effectmeasures.simbench" not in modules
+        codes, modules = _fresh_run(tmp_path, [
+            "simulate", "--scenario", "roulette-heterogeneous", "--reps", "1",
+            "--n", "50", "--m", "50", "--out", "r.csv",
+        ])
+        assert codes == [EXIT_OK]
+        assert "effectmeasures.simbench" in modules
+        assert "effectmeasures.dataio" not in modules
