@@ -388,8 +388,12 @@ def _code_column(source: np.ndarray, target: np.ndarray) -> tuple[int, np.ndarra
 
 
 class _Cells:
-    """Trial and target rows coded by covariate cell, and the number of
-    target rows in each cell (``target_counts``).
+    """The pair's cell table for one covariate tuple: trial and target rows
+    coded by cell; per arm and cell, the trial rows and outcome sums
+    (``arm_count``, ``arm_total``, shape ``(2, size)``); per cell, the
+    target rows and ``y0`` sums (``target_counts``, ``target_y0``, None
+    without control outcomes); and ``present``, the cells with target
+    rows. Every sum adds its rows in row order.
 
     Codes run over ``0..size-1`` in the sorted order of the cell tuples
     and mean the same cell in both samples. Each covariate is coded on
@@ -413,7 +417,14 @@ class _Cells:
                 size = len(cells)
         self.size = size
         self.trial, self.target = _frozen(code[: trial.n]), _frozen(code[trial.n :])
-        self.target_counts = _frozen(self.counts(self.target))
+        by_arm = 2 * self.trial + trial.a  # one bin per (cell, arm), read back as (arm, cell)
+        self.arm_count = _frozen(np.bincount(by_arm, None, 2 * size).reshape(size, 2).T)
+        self.arm_total = _frozen(np.bincount(by_arm, trial.y, 2 * size).reshape(size, 2).T)
+        self.target_counts = _frozen(np.bincount(self.target, minlength=size))
+        self.target_y0 = None if target.y0 is None else _frozen(
+            np.bincount(self.target, target.y0, size)
+        )
+        self.present = _frozen(np.flatnonzero(self.target_counts))
 
     def target_tuples(self, codes: np.ndarray) -> list[tuple]:
         """Plain cell tuples for ``codes``, read from the first target row
@@ -424,8 +435,14 @@ class _Cells:
             return [()] * len(rows)
         return list(zip(*(column[rows].tolist() for column in self.target_columns)))
 
-    def counts(self, codes: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-        return np.bincount(codes, weights=weights, minlength=self.size)
+    def arm_means(self) -> np.ndarray:
+        """Each arm's mean trial outcome in the present cells, shape
+        ``(2, len(present))``. Every present cell needs rows in both arms."""
+        count = self.arm_count[:, self.present]
+        missing = self.present[(count == 0).any(axis=0)]
+        if missing.size:
+            raise SupportViolation(self.target_tuples(missing))
+        return self.arm_total[:, self.present] / count
 
 
 def _pair_memo(trial: TrialSample, target: TargetSample) -> dict:
@@ -480,7 +497,7 @@ def estimate_density_ratio(
 ) -> DensityRatio:
     """Ratio of empirical cell frequencies, p_T(x) / p_S(x)."""
     cells = _cells(trial, target, covariates)
-    src = cells.counts(cells.trial)
+    src = cells.arm_count.sum(axis=0)
     tgt = cells.target_counts
     unseen = np.flatnonzero((tgt > 0) & (src == 0))
     if unseen.size:
@@ -496,23 +513,6 @@ def _infer_kind(trial: TrialSample) -> OutcomeKind:
     if ((trial.y == 0.0) | (trial.y == 1.0)).all():
         return OutcomeKind.BINARY
     return OutcomeKind.CONTINUOUS
-
-
-@_once_per_pair
-def _cell_means(trial: TrialSample, target: TargetSample, covariates: tuple[str, ...]):
-    """The cells of ``covariates`` and each arm's mean trial outcome per
-    cell, indexed by cell code (NaN where the arm has no row in the cell).
-    Every cell with target rows needs rows in both trial arms."""
-    cells = _cells(trial, target, covariates)
-    # one bin per (cell, arm); bincount adds each bin's outcomes in row order
-    by_arm = 2 * cells.trial + trial.a
-    count = np.bincount(by_arm, minlength=2 * cells.size).reshape(cells.size, 2).T
-    total = np.bincount(by_arm, trial.y, minlength=2 * cells.size).reshape(cells.size, 2).T
-    mu0, mu1 = np.divide(total, count, out=np.full(count.shape, np.nan), where=count > 0)
-    missing = np.flatnonzero((cells.target_counts > 0) & (np.isnan(mu0) | np.isnan(mu1)))
-    if missing.size:
-        raise SupportViolation(cells.target_tuples(missing))
-    return cells, _frozen(mu0), _frozen(mu1)
 
 
 def _repeated_fsum(values: np.ndarray, counts: np.ndarray) -> float:
@@ -567,14 +567,11 @@ def _gformula_means(trial: TrialSample, target: TargetSample, covariates, learne
     """Per-arm conditional means fitted on the trial by ``learner``,
     averaged over the target rows."""
     if learner is Learner.CELL_MEANS:
-        cells, mu0, mu1 = _cell_means(trial, target, covariates)
-        present = np.flatnonzero(cells.target_counts)
-        counts = cells.target_counts[present]
+        cells = _cells(trial, target, covariates)
+        mu0, mu1 = cells.arm_means()
+        counts = cells.target_counts[cells.present]
         try:
-            return (
-                _repeated_fsum(mu0[present], counts) / target.n,
-                _repeated_fsum(mu1[present], counts) / target.n,
-            )
+            return _repeated_fsum(mu0, counts) / target.n, _repeated_fsum(mu1, counts) / target.n
         except OverflowError as exc:  # finite means whose sum over the target overflows
             raise UndefinedMeasure(f"estimated pair out of range: {exc}") from None
     source = [trial.columns[i] for i in trial.column_indices(covariates)]
@@ -584,13 +581,13 @@ def _gformula_means(trial: TrialSample, target: TargetSample, covariates, learne
             raise InvariantViolation(f"least squares needs numeric covariates; {name!r} is not")
     # a C-contiguous design keeps the BLAS product, and so the mean, bit-stable
     tgt = np.column_stack([np.ones(target.n)] + target_columns).astype(float)
-    means = []
+    predictions = []
     for arm in (0, 1):
         rows = trial.a == arm
         x_rows = stack_columns([column[rows] for column in source], int(rows.sum()))
-        coef = least_squares_fit(x_rows, trial.y[rows])
-        means.append(float((tgt @ coef).mean()))
-    return means[0], means[1]
+        predictions.append(tgt @ least_squares_fit(x_rows, trial.y[rows]))
+    with np.errstate(over="ignore"):  # _contrast refuses a mean that overflows
+        return float(predictions[0].mean()), float(predictions[1].mean())
 
 
 def gformula_conditional(
@@ -621,8 +618,9 @@ def ipsw_conditional(
         raise InvariantViolation(f"ipsw takes no {learner.value} learner")
     ratio = estimate_density_ratio(trial, target, covariates)
     # bincount adds in row order, as a running sum over the rows would
-    sums = np.bincount(trial.a, weights=ratio.at_trial_rows * trial.y, minlength=2)
-    counts = np.bincount(trial.a, minlength=2)
+    with np.errstate(over="ignore"):  # _contrast refuses a sum that overflows
+        sums = np.bincount(trial.a, weights=ratio.at_trial_rows * trial.y, minlength=2)
+    counts = _cells(trial, target, covariates).arm_count.sum(axis=1)
     return _contrast(trial, target, measure, covariates, sums / counts)
 
 
@@ -651,17 +649,15 @@ def generalize_local(
         raise MissingTargetControlOutcome(
             f"{measure.value} weights need control outcomes in the target sample"
         )
-    cells, mu0, mu1 = _cell_means(trial, target, covariates)
-    count = cells.target_counts
-    present = np.flatnonzero(count)
+    cells = _cells(trial, target, covariates)
+    mu0, mu1 = cells.arm_means()
     try:
-        local = measure_values(measure, mu0[present], mu1[present], _infer_kind(trial))
+        local = measure_values(measure, mu0, mu1, _infer_kind(trial))
     except InvariantViolation as exc:
         raise UndefinedMeasure(f"estimated pair out of range: {exc}") from None
-    y0_mean = None
-    if measure is not MeasureKind.RD:
-        y0_mean = cells.counts(cells.target, target.y0)[present] / count[present]
-    weights = collapse_weights(measure, count[present] / target.n, y0_mean)
+    count = cells.target_counts[cells.present]
+    y0_mean = None if measure is MeasureKind.RD else cells.target_y0[cells.present] / count
+    weights = collapse_weights(measure, count / target.n, y0_mean)
     value = math.fsum((weights * local).tolist())
     return GeneralizedEstimate(
         measure, Strategy.LOCAL_EFFECT, value, tuple(covariates), trial.n, target.n

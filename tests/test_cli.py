@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -399,6 +400,43 @@ class TestTransport:
                 assert code == EXIT_SEMANTICS and out == ""
                 assert err.splitlines()[-1].startswith("UndefinedMeasure: rd is not finite")
                 assert "Traceback" not in err
+
+    # (trial rows, target rows) whose estimates overflow inside NumPy
+    _OVERFLOWING = {
+        # IPSW's ratio * y
+        "ratio-times-y": ("0,0,1e308\n1,0,1e308\n0,1,-1e308\n1,1,-1e308\n", "1\n"),
+        # the least-squares prediction's mean over the target
+        "mean-prediction": (
+            "0,0,1e308\n1,0,1e308\n0,1,-1e308\n1,1,1e308\n"
+            "0,0,1e308\n1,0,-1e308\n0,1,1e308\n1,1,1e308\n",
+            "0\n1\n1\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("fixture", list(_OVERFLOWING))
+    @pytest.mark.parametrize(
+        "strategy, learner",
+        [(name, l.value) for name, row in estimators().items() for l in row.learners],
+    )
+    def test_overflow_is_undefined_without_a_warning(
+        self, capsys, tmp_path, fixture, strategy, learner
+    ):
+        trial, target = tmp_path / "trial.csv", tmp_path / "target.csv"
+        rows, target_rows = self._OVERFLOWING[fixture]
+        trial.write_text("x,a,y\n" + rows)
+        target.write_text("x\n" + target_rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys,
+                [
+                    "transport", "--trial", str(trial), "--target", str(target),
+                    "--measure", "rd", "--strategy", strategy, "--learner", learner,
+                    "--covariates", "x", "--json",
+                ],
+            )
+        assert code == EXIT_SEMANTICS and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("UndefinedMeasure:")
 
     def test_local_rr_weights_that_change_sign_are_undefined(self, capsys, tmp_path):
         # target control means -1 and 2 in equal cells: normalized weights -1 and 2

@@ -290,3 +290,22 @@ def test_a_replication_codes_each_column_once(monkeypatch):
     result = simbench._run_one(roulette, 3, 0, 400, 600, default_config(roulette))
     assert len(result.estimates) == len(default_config(roulette))
     assert len(coded) == 2
+
+
+def test_a_replication_builds_one_cell_table_per_covariate_set(monkeypatch):
+    """The seven roulette estimates read two cell tables, ``stress`` and
+    ``lifestyle,stress``, each built once."""
+    from effectmeasures import simbench, transport
+
+    roulette = builtin_scenario("roulette-heterogeneous")
+    built = []
+    init = transport._Cells.__init__
+
+    def recording(self, trial, target, covariates):
+        built.append(tuple(covariates))
+        init(self, trial, target, covariates)
+
+    monkeypatch.setattr(transport._Cells, "__init__", recording)
+    result = simbench._run_one(roulette, 3, 0, 400, 600, default_config(roulette))
+    assert len(result.estimates) == len(default_config(roulette)) == 7
+    assert sorted(built) == [("lifestyle", "stress"), ("stress",)]

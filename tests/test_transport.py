@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -830,3 +831,97 @@ class TestPairMemo:
         for array in (*trial.columns, trial.a, trial.y, *target.columns, target.y0):
             with pytest.raises(ValueError):
                 array[0] = 5
+
+
+def _by_code(sums: dict, code_of: dict, shape: tuple, dtype) -> np.ndarray:
+    """``sums`` keyed by cell tuple, or by (arm, cell tuple), as an array
+    indexed by cell code."""
+    array = np.zeros(shape, dtype)
+    for key, value in sums.items():
+        array[key[:-1] + (code_of[key[-1]],)] = value
+    return array
+
+
+def _hexes(array: np.ndarray) -> list[str]:
+    return [float(v).hex() for v in array.ravel()]
+
+
+class TestCellTable:
+    """The pair's cell table equals per-row Python running sums, added in
+    row order and keyed by cell tuple."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), binary=st.booleans(), with_y0=st.booleans())
+    def test_sums_equal_running_sums_by_cell(self, seed, binary, with_y0):
+        rng = random.Random(seed)
+        trial, target = random_trial_and_target(rng, binary)
+        # and target rows in a cell the trial lacks
+        tx = [tuple(row) for row in target.x.tolist()] + [(99, "w")] * rng.randint(0, 2)
+        y0 = [rng.choice([1.0, -0.0, rng.gauss(0, 1)]) for _ in tx] if with_y0 else None
+        target = TargetSample(target.covariates, tx, y0)
+        for covariates in (("i", "tag"), ("tag",), ("i",), ()):
+            cells = _Cells(trial, target, covariates)
+            i, j = trial.column_indices(covariates), target.column_indices(covariates)
+            code_of, count, total, target_counts, target_y0 = {}, {}, {}, {}, {}
+            for row, code, a, y in zip(
+                trial.x.tolist(), cells.trial.tolist(), trial.a.tolist(), trial.y.tolist()
+            ):
+                cell = tuple(row[k] for k in i)
+                assert code_of.setdefault(cell, code) == code
+                count[a, cell] = count.get((a, cell), 0) + 1
+                total[a, cell] = total.get((a, cell), 0.0) + y
+            for n, (row, code) in enumerate(zip(target.x.tolist(), cells.target.tolist())):
+                cell = tuple(row[k] for k in j)
+                assert code_of.setdefault(cell, code) == code
+                target_counts[(cell,)] = target_counts.get((cell,), 0) + 1
+                if with_y0:
+                    target_y0[(cell,)] = target_y0.get((cell,), 0.0) + y0[n]
+            assert len(set(code_of.values())) == len(code_of)  # one cell per code
+            size = cells.size
+            want = {
+                "arm_count": _by_code(count, code_of, (2, size), np.int64),
+                "arm_total": _by_code(total, code_of, (2, size), np.float64),
+                "target_counts": _by_code(target_counts, code_of, (size,), np.int64),
+                "target_y0": _by_code(target_y0, code_of, (size,), np.float64),
+            }
+            if not with_y0:
+                assert cells.target_y0 is None
+                del want["target_y0"]
+            for name, array in want.items():
+                got = getattr(cells, name)
+                assert (got.shape, got.dtype) == (array.shape, array.dtype), name
+                assert _hexes(got) == _hexes(array), (name, covariates)
+            assert cells.present.tolist() == np.flatnonzero(want["target_counts"]).tolist()
+
+
+def _cell_means_digest() -> str:
+    """SHA-256 over every cell-means estimate of gformula, IPSW and local,
+    each measure and four covariate sets, on seeded roulette samples: a
+    value by its hex form, an error by its type and text."""
+    from effectmeasures.simbench import builtin_scenario
+
+    roulette = builtin_scenario("roulette-heterogeneous")
+    covariate_sets = ((), ("stress",), ("lifestyle", "stress"), ("gender", "stress", "lifestyle"))
+    lines = []
+    for seed, n, m, y0 in ((0, 30, 20, True), (1, 120, 90, True), (2, 600, 400, True),
+                           (3, 3000, 2000, True), (4, 200, 150, False)):
+        rng = np.random.default_rng(seed)
+        trial, target = roulette.sample_trial(rng, n), roulette.sample_target(rng, m)
+        if not y0:
+            target = TargetSample(target.covariates, target.x)
+        for fn in (gformula_conditional, ipsw_conditional, generalize_local):
+            for measure in MeasureKind:
+                for covariates in covariate_sets:
+                    try:
+                        got = fn(trial, target, measure, covariates).value.hex()
+                    except EffectMeasureError as exc:
+                        got = f"{type(exc).__name__}: {exc}"
+                    lines.append(f"{seed} {fn.__name__} {measure.value} {covariates}: {got}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_cell_means_estimates_are_pinned_bit_for_bit():
+    """Every estimate and error text of the three cell-means estimators on
+    seeded roulette samples, by digest: a change to how the cell sums are
+    computed moves no bit unseen."""
+    assert _cell_means_digest() == "9851e77e53b17afc36b51c018748c48824382e8cdc3dfa09fcc97f14cbc051b8"
