@@ -150,21 +150,11 @@ def load_strata(path, kind: OutcomeKind | None = None) -> StratifiedDistribution
 def save_strata(dist: StratifiedDistribution, path) -> None:
     """Write the counts variant when every stratum carries counts, the
     summary variant otherwise."""
-    with_counts = all(s.counts is not None for s in dist.strata)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if with_counts:
-            fh.write(",".join(_COUNTS_HEADER) + "\n")
-            for s in dist.strata:
-                (n11, n10), (n01, n00) = s.counts
-                fh.write(
-                    f"{s.label},{_fmt(s.proportion)},{n11},{n10},{n01},{n00}\n"
-                )
-        else:
-            fh.write(",".join(_SUMMARY_HEADER) + "\n")
-            for s in dist.strata:
-                fh.write(
-                    f"{s.label},{_fmt(s.proportion)},{_fmt(s.pair.mu0)},{_fmt(s.pair.mu1)}\n"
-                )
+    if all(s.counts is not None for s in dist.strata):
+        header, rest = _COUNTS_HEADER, lambda s: (*s.counts[0], *s.counts[1])
+    else:
+        header, rest = _SUMMARY_HEADER, lambda s: (_fmt(s.pair.mu0), _fmt(s.pair.mu1))
+    _write_rows(path, header, ([s.label, _fmt(s.proportion), *rest(s)] for s in dist.strata))
 
 
 def _columns(header: list[str], rows: list[list[str]]) -> list[list[str]]:
@@ -329,11 +319,16 @@ def _parse_trial(path) -> TrialSample:
 
 def save_trial(trial: TrialSample, path) -> None:
     columns = [c.tolist() for c in trial.columns] + [trial.a.tolist(), trial.y.tolist()]
+    _write_rows(path, trial.covariates + ("a", "y"), zip(*columns))
+
+
+def _write_rows(path, header, rows) -> None:
+    """A CSV file of ``header`` and ``rows``; a field that is an int is
+    written by ``str``, a float by :func:`_fmt`, a string as given."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(trial.covariates + ("a", "y")) + "\n")
-        for *row, a, y in zip(*columns):
-            cells = [_cell_text(v) for v in row] + [str(a), _fmt(y)]
-            fh.write(",".join(cells) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell_text, row)) + "\n")
 
 
 def _cell_text(value) -> str:
@@ -391,14 +386,10 @@ def _parse_target(path) -> TargetSample:
 
 
 def save_target(target: TargetSample, path) -> None:
-    header = target.covariates + (("y0",) if target.y0 is not None else ())
-    columns = [c.tolist() for c in target.columns]
+    header, columns = target.covariates, [c.tolist() for c in target.columns]
     if target.y0 is not None:
-        columns.append([_fmt(v) for v in target.y0.tolist()])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(map(_cell_text, row)) + "\n")
+        header, columns = header + ("y0",), columns + [target.y0.tolist()]
+    _write_rows(path, header, zip(*columns))
 
 
 def emit_grid(resolution: int, path) -> None:

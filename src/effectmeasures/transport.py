@@ -30,13 +30,7 @@ from .errors import (
     SupportViolation,
     UndefinedMeasure,
 )
-from .measures import (
-    MeasureKind,
-    OutcomeKind,
-    OutcomePair,
-    compute_measure,
-    measure_values,
-)
+from .measures import MeasureKind, OutcomeKind, measure_values
 from .strata import COLLAPSIBLE_MEASURES, collapse_weights
 from .vocab import Learner, MonotonicityDirection, Strategy
 
@@ -539,17 +533,23 @@ def _repeated_fsum(values: np.ndarray, counts: np.ndarray) -> float:
     return math.fsum(np.concatenate([c * part for c in times for part in (high, low)]).tolist())
 
 
-def _contrast(
-    trial: TrialSample, target: TargetSample, measure, covariates, means,
-    strategy: Strategy = Strategy.CONDITIONAL_OUTCOME,
-):
-    """``measure`` of the generalized arm means ``(mu0, mu1)``, by the
-    measure kernel, as the estimate of ``strategy``."""
+def _estimate(
+    trial: TrialSample, target: TargetSample, measure, covariates, strategy: Strategy,
+    mu0, mu1, collapse=None,
+) -> GeneralizedEstimate:
+    """The estimate of ``strategy``: ``measure`` of the generalized arm
+    means, one pair, by one call of the measure kernel. Given ``collapse``,
+    the target cell proportions and ``y0`` cell means, ``mu0``/``mu1`` are
+    per-cell means whose measures are recombined, once all are defined,
+    with :func:`strata.collapse_weights`."""
     try:
-        pair = OutcomePair(float(means[0]), float(means[1]), _infer_kind(trial))
+        values = measure_values(measure, *np.atleast_1d(mu0, mu1), _infer_kind(trial))
     except InvariantViolation as exc:
         raise UndefinedMeasure(f"estimated pair out of range: {exc}") from None
-    value = compute_measure(measure, pair).value
+    if collapse is None:
+        value = values[0].item()
+    else:
+        value = math.fsum((collapse_weights(measure, *collapse) * values).tolist())
     return GeneralizedEstimate(measure, strategy, value, tuple(covariates), trial.n, target.n)
 
 
@@ -586,7 +586,7 @@ def _gformula_means(trial: TrialSample, target: TargetSample, covariates, learne
         rows = trial.a == arm
         x_rows = stack_columns([column[rows] for column in source], int(rows.sum()))
         predictions.append(tgt @ least_squares_fit(x_rows, trial.y[rows]))
-    with np.errstate(over="ignore"):  # _contrast refuses a mean that overflows
+    with np.errstate(over="ignore"):  # _estimate refuses a mean that overflows
         return float(predictions[0].mean()), float(predictions[1].mean())
 
 
@@ -599,8 +599,8 @@ def gformula_conditional(
 ) -> GeneralizedEstimate:
     """Plug-in g-formula: fit per-arm conditional means on the trial,
     average them over the target covariate rows, contrast."""
-    means = _gformula_means(trial, target, covariates, learner)
-    return _contrast(trial, target, measure, covariates, means)
+    mu0, mu1 = _gformula_means(trial, target, covariates, learner)
+    return _estimate(trial, target, measure, covariates, Strategy.CONDITIONAL_OUTCOME, mu0, mu1)
 
 
 def ipsw_conditional(
@@ -618,10 +618,10 @@ def ipsw_conditional(
         raise InvariantViolation(f"ipsw takes no {learner.value} learner")
     ratio = estimate_density_ratio(trial, target, covariates)
     # bincount adds in row order, as a running sum over the rows would
-    with np.errstate(over="ignore"):  # _contrast refuses a sum that overflows
+    with np.errstate(over="ignore"):  # _estimate refuses a sum that overflows
         sums = np.bincount(trial.a, weights=ratio.at_trial_rows * trial.y, minlength=2)
-    counts = _cells(trial, target, covariates).arm_count.sum(axis=1)
-    return _contrast(trial, target, measure, covariates, sums / counts)
+    mu0, mu1 = sums / _cells(trial, target, covariates).arm_count.sum(axis=1)
+    return _estimate(trial, target, measure, covariates, Strategy.CONDITIONAL_OUTCOME, mu0, mu1)
 
 
 def generalize_local(
@@ -642,8 +642,8 @@ def generalize_local(
     if learner is Learner.LEAST_SQUARES:
         if measure is not MeasureKind.RD:
             raise UndefinedMeasure("least-squares local effects are supported for RD only")
-        means = _gformula_means(trial, target, covariates, learner)
-        return _contrast(trial, target, measure, covariates, means, Strategy.LOCAL_EFFECT)
+        mu0, mu1 = _gformula_means(trial, target, covariates, learner)
+        return _estimate(trial, target, measure, covariates, Strategy.LOCAL_EFFECT, mu0, mu1)
 
     if measure is not MeasureKind.RD and target.y0 is None:
         raise MissingTargetControlOutcome(
@@ -651,14 +651,7 @@ def generalize_local(
         )
     cells = _cells(trial, target, covariates)
     mu0, mu1 = cells.arm_means()
-    try:
-        local = measure_values(measure, mu0, mu1, _infer_kind(trial))
-    except InvariantViolation as exc:
-        raise UndefinedMeasure(f"estimated pair out of range: {exc}") from None
     count = cells.target_counts[cells.present]
     y0_mean = None if measure is MeasureKind.RD else cells.target_y0[cells.present] / count
-    weights = collapse_weights(measure, count / target.n, y0_mean)
-    value = math.fsum((weights * local).tolist())
-    return GeneralizedEstimate(
-        measure, Strategy.LOCAL_EFFECT, value, tuple(covariates), trial.n, target.n
-    )
+    collapse = (count / target.n, y0_mean)
+    return _estimate(trial, target, measure, covariates, Strategy.LOCAL_EFFECT, mu0, mu1, collapse)

@@ -530,6 +530,7 @@ class TestModelIO:
             loaded_space, loaded_model = dataio.load_model(path)
             assert loaded_space == space
             assert type(loaded_model) is type(model)
+            assert loaded_model == model
             for cell in space.cells:
                 for a in (0, 1):
                     assert potential_mean(loaded_model, a, cell) == potential_mean(

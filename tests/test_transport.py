@@ -925,3 +925,34 @@ def test_cell_means_estimates_are_pinned_bit_for_bit():
     seeded roulette samples, by digest: a change to how the cell sums are
     computed moves no bit unseen."""
     assert _cell_means_digest() == "9851e77e53b17afc36b51c018748c48824382e8cdc3dfa09fcc97f14cbc051b8"
+
+
+def _least_squares_digest() -> str:
+    """SHA-256 over every least-squares estimate of gformula and local,
+    each measure and four covariate sets, on seeded continuous samples: a
+    value by its hex form, an error by its type and text."""
+    from effectmeasures.simbench import _rep_rng, builtin_scenario
+
+    continuous = builtin_scenario("continuous-linear")
+    covariate_sets = (("X1",), ("X1", "X2"), ("X1", "X2", "X3", "X4"), continuous.covariates)
+    lines = []
+    for seed, (n, m) in enumerate(((40, 60), (300, 500), (2000, 5000))):
+        rng = _rep_rng(seed, 0)
+        trial, target = continuous.sample_trial(rng, n), continuous.sample_target(rng, m)
+        for fn in (gformula_conditional, generalize_local):
+            for measure in MeasureKind:
+                for covariates in covariate_sets:
+                    try:
+                        got = fn(trial, target, measure, covariates, Learner.LEAST_SQUARES)
+                        got = got.value.hex()
+                    except EffectMeasureError as exc:
+                        got = f"{type(exc).__name__}: {exc}"
+                    lines.append(f"{seed} {fn.__name__} {measure.value} {covariates}: {got}")
+    assert len(lines) == 192
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_least_squares_estimates_are_pinned_bit_for_bit():
+    """Every estimate and error text of the least-squares g-formula and
+    local estimators on seeded continuous samples, by digest."""
+    assert _least_squares_digest() == "bf3445f69f267199714b398eb2d80bf95630d2e2bd74f1e5d865b80ae4c6f301"
