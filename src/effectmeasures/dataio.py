@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import warnings
 from dataclasses import MISSING, fields
 from operator import itemgetter
@@ -434,7 +435,8 @@ def load_model(path):
     ``model``: a ``type``, one of the tags of ``genmodel.MODEL_TYPES``,
     then that family's fields. A field without a default is a per-cell
     function, a vector aligned with ``cells``; a field with a default is
-    a number the file may leave out.
+    a number the file may leave out. Every model value must be finite, and
+    every key of ``model`` but ``type`` must name a field of the family.
     """
 
     def build(raw):
@@ -448,14 +450,21 @@ def load_model(path):
         family = MODEL_TYPES.get(spec["type"])
         if family is None:
             raise ParseError(f"{path}: unknown model type {spec['type']!r}")
+        names = [field.name for field in fields(family)]
+        for key in spec:
+            if key not in names and key != "type":
+                raise ParseError(f"{path}: model.{key} is not a field of {family.tag!r} models")
         args = {}
         for field in fields(family):
-            if field.default is MISSING:
-                if len(spec[field.name]) != len(cells):
-                    raise ParseError(f"{path}: model.{field.name} must have one value per cell")
-                args[field.name] = dict(zip(cells, map(float, spec[field.name])))
-            elif field.name in spec:
-                args[field.name] = float(spec[field.name])
+            per_cell = field.default is MISSING
+            if not per_cell and field.name not in spec:
+                continue
+            values = list(map(float, spec[field.name] if per_cell else [spec[field.name]]))
+            if per_cell and len(values) != len(cells):
+                raise ParseError(f"{path}: model.{field.name} must have one value per cell")
+            if not all(map(math.isfinite, values)):
+                raise ParseError(f"{path}: model.{field.name} must be finite")
+            args[field.name] = dict(zip(cells, values)) if per_cell else values[0]
         return space, family(**args)
 
     return _read_json(path, build)

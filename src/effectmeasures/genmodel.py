@@ -9,7 +9,9 @@ Three model families share the interface ``E[Y(a) | X = cell]``:
 * LogitOutcomeModel — binary with log-odds b(x) + a*m(x).
 
 All population-level quantities are exact enumerations over the discrete
-cells, so they serve as oracles for the sample-based estimators.
+cells, so they serve as oracles for the sample-based estimators. A
+model's truth for every measure is the measure kernel on its pooled pair
+(E[Y(0)], E[Y(1)]): :func:`population_measures`.
 """
 
 from __future__ import annotations
@@ -26,14 +28,12 @@ from .errors import (
     UnknownCell,
 )
 from .measures import (
-    NOT_INTERIOR,
-    NULL_EFFECT,
-    UNDEFINED_REASONS,
     MeasureKind,
     MeasureValue,
     OutcomeKind,
     OutcomePair,
     UndefinedAnnotation,
+    all_measures,
 )
 from .vocab import MonotonicityDirection
 
@@ -47,13 +47,11 @@ __all__ = [
     "MonotonicityDirection",
     "potential_mean",
     "pooled_pair",
-    "population_measures_continuous",
-    "population_measures_binary",
+    "population_measures",
     "monotone_ratio",
     "local_ratio",
     "identify_modulation",
     "logit_conditional_logor",
-    "logit_population_measures",
     "entanglement_to_logit",
     "expit",
     "logit",
@@ -96,8 +94,10 @@ class DiscreteCovariateSpace:
                 raise InvariantViolation(
                     f"population {pop!r}: {len(probs)} probabilities for {len(self.cells)} cells"
                 )
-            if any(p < 0.0 for p in probs):
-                raise InvariantViolation(f"population {pop!r}: negative cell probability")
+            if not all(0.0 <= p <= 1.0 for p in probs):  # NaN fails too
+                raise InvariantViolation(
+                    f"population {pop!r}: cell probabilities must lie in [0, 1]"
+                )
             if abs(math.fsum(probs) - 1.0) > 1e-10:
                 raise InvariantViolation(f"population {pop!r}: probabilities must sum to 1")
 
@@ -208,66 +208,23 @@ def pooled_pair(
     return OutcomePair(mu0, mu1, model.kind)
 
 
-def population_measures_continuous(
-    model: ContinuousOutcomeModel, space: DiscreteCovariateSpace, population: str
-) -> dict[MeasureKind, MeasureValue]:
-    """RD, RR, ERR from the additive decomposition: RD = E[m],
-    RR = 1 + E[m]/E[b]."""
-    e_b = space.expectation(population, lambda c: model.b[c])
-    e_m = space.expectation(population, lambda c: model.m[c])
-    out = {MeasureKind.RD: MeasureValue(MeasureKind.RD, e_m, 0.0)}
-    if e_b == 0.0:
-        raise UndefinedMeasure("RR/ERR need a nonzero population baseline mean")
-    out[MeasureKind.RR] = MeasureValue(MeasureKind.RR, 1.0 + e_m / e_b, 1.0)
-    out[MeasureKind.ERR] = MeasureValue(MeasureKind.ERR, e_m / e_b, 0.0)
-    return out
+def population_measures(
+    model: Model, space: DiscreteCovariateSpace, population: str
+) -> list[MeasureValue | UndefinedAnnotation]:
+    """The population truth: every measure of the model's outcome kind on
+    its pooled pair, as the kernel computes it, undefined ones in-band."""
+    return all_measures(pooled_pair(model, space, population))
 
 
 def _entanglement_moments(
     model: EntanglementModel, space: DiscreteCovariateSpace, population: str
 ) -> tuple[float, float, float]:
-    """(E[b], E[(1-b)*m_b], E[b*m_g]) — the three moments every marginal
-    measure of the entanglement model is built from."""
+    """(E[b], E[(1-b)*m_b], E[b*m_g]), the moments of the paper's closed
+    forms for the marginal measures of the entanglement model."""
     e_b = space.expectation(population, lambda c: model.b[c])
     gain = space.expectation(population, lambda c: (1.0 - model.b[c]) * model.m_b[c])
     loss = space.expectation(population, lambda c: model.b[c] * model.m_g[c])
     return e_b, gain, loss
-
-
-def population_measures_binary(
-    model: EntanglementModel, space: DiscreteCovariateSpace, population: str
-) -> list[MeasureValue | UndefinedAnnotation]:
-    """All eight marginal measures, evaluated from the moment expressions
-    E[b], E[(1-b)m_b], E[b*m_g] rather than from the pooled pair.
-
-    Each defined entry matches ``compute_measure`` on the pooled pair to
-    within 1e-12; undefined measures are annotated in-band.
-    """
-    e_b, gain, loss = _entanglement_moments(model, space, population)
-    if not 0.0 < e_b < 1.0:
-        raise UndefinedMeasure("marginal control probability must lie in (0, 1)")
-    rd = gain - loss
-    out: list[MeasureValue | UndefinedAnnotation] = [
-        MeasureValue(MeasureKind.RD, rd, 0.0),
-        MeasureValue(MeasureKind.RR, 1.0 + gain / e_b - loss / e_b, 1.0),
-        MeasureValue(MeasureKind.SR, 1.0 - gain / (1.0 - e_b) + loss / (1.0 - e_b), 1.0),
-        MeasureValue(MeasureKind.ERR, gain / e_b - loss / e_b, 0.0),
-        MeasureValue(MeasureKind.RS, gain / (1.0 - e_b) - loss / (1.0 - e_b), 0.0),
-    ]
-    if rd == 0.0:
-        out.append(UndefinedAnnotation(MeasureKind.NNT, UNDEFINED_REASONS[NULL_EFFECT]))
-    else:
-        out.append(MeasureValue(MeasureKind.NNT, 1.0 / rd, math.inf))
-    p1 = e_b + rd
-    if not 0.0 < p1 < 1.0:
-        reason = UNDEFINED_REASONS[NOT_INTERIOR]
-        out.append(UndefinedAnnotation(MeasureKind.OR, reason))
-        out.append(UndefinedAnnotation(MeasureKind.LOG_OR, reason))
-    else:
-        odds_ratio = (p1 / (1.0 - p1)) * ((1.0 - e_b) / e_b)
-        out.append(MeasureValue(MeasureKind.OR, odds_ratio, 1.0))
-        out.append(MeasureValue(MeasureKind.LOG_OR, math.log(odds_ratio), 0.0))
-    return out
 
 
 def _check_direction(
@@ -337,38 +294,6 @@ def logit_conditional_logor(model: LogitOutcomeModel, cell: Cell) -> float:
     """Conditional log odds ratio; the baseline cancels, leaving m(cell)."""
     _cell_value(model.b, cell, "baseline")
     return _cell_value(model.m, cell, "modulation")
-
-
-def logit_population_measures(
-    model: LogitOutcomeModel, space: DiscreteCovariateSpace, population: str
-) -> list[MeasureValue | UndefinedAnnotation]:
-    """All eight marginal measures from the expit-based expressions.
-
-    Computed as expectations of expit(b) and expit(b + m) (and of the
-    complementary 1/(1+e^x) forms for the survival side), then contrasted.
-    Matches ``compute_measure`` on the pooled pair to within 1e-12.
-    """
-    e_p0 = space.expectation(population, lambda c: expit(model.b[c]))
-    e_p1 = space.expectation(population, lambda c: expit(model.b[c] + model.m[c]))
-    e_s0 = space.expectation(population, lambda c: expit(-model.b[c]))
-    e_s1 = space.expectation(population, lambda c: expit(-(model.b[c] + model.m[c])))
-    if not 0.0 < e_p0 < 1.0:
-        raise UndefinedMeasure("marginal control probability must lie in (0, 1)")
-    out: list[MeasureValue | UndefinedAnnotation] = [
-        MeasureValue(MeasureKind.RD, e_p1 - e_p0, 0.0),
-        MeasureValue(MeasureKind.RR, e_p1 / e_p0, 1.0),
-        MeasureValue(MeasureKind.SR, e_s1 / e_s0, 1.0),
-        MeasureValue(MeasureKind.ERR, e_p1 / e_p0 - 1.0, 0.0),
-        MeasureValue(MeasureKind.RS, 1.0 - e_s1 / e_s0, 0.0),
-    ]
-    if e_p1 == e_p0:
-        out.append(UndefinedAnnotation(MeasureKind.NNT, UNDEFINED_REASONS[NULL_EFFECT]))
-    else:
-        out.append(MeasureValue(MeasureKind.NNT, 1.0 / (e_p1 - e_p0), math.inf))
-    odds_ratio = (e_p1 / e_s1) * (e_s0 / e_p0)
-    out.append(MeasureValue(MeasureKind.OR, odds_ratio, 1.0))
-    out.append(MeasureValue(MeasureKind.LOG_OR, math.log(odds_ratio), 0.0))
-    return out
 
 
 def entanglement_to_logit(model: EntanglementModel) -> LogitOutcomeModel:

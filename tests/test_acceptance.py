@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+import exact_truth
 from conftest import random_distribution
 from effectmeasures.cli import EXIT_OK, main as cli_main
 from effectmeasures.errors import NonCollapsible
@@ -23,10 +24,9 @@ from effectmeasures.genmodel import (
     LogitOutcomeModel,
     MonotonicityDirection,
     logit_conditional_logor,
-    logit_population_measures,
     monotone_ratio,
     pooled_pair,
-    population_measures_binary,
+    population_measures,
     potential_mean,
 )
 from effectmeasures.measures import (
@@ -103,7 +103,7 @@ def test_criterion_3_rare_event_switch_on_table():
     ):
         model = EntanglementModel({cell: b}, {cell: 1 / 6}, {cell: 0.0})
         assert potential_mean(model, 1, cell) == pytest.approx(e_y1, abs=5e-4)
-        out = _values(population_measures_binary(model, space, "pop"))
+        out = _values(population_measures(model, space, "pop"))
         assert out[MeasureKind.RR] == pytest.approx(rr, abs=5e-4)
         assert out[MeasureKind.RD] == pytest.approx(rd, abs=5e-4)
         assert out[MeasureKind.SR] == pytest.approx(5 / 6, abs=5e-4)
@@ -137,13 +137,7 @@ def test_criterion_5_generative_model_oracles():
     rng = random.Random(5)
     for _ in range(500):
         model, space = random_entanglement(rng)
-        pooled = pooled_pair(model, space, "pop")
-        for measure, value in _values(
-            population_measures_binary(model, space, "pop")
-        ).items():
-            assert value == pytest.approx(
-                compute_measure(measure, pooled).value, abs=1e-12, rel=1e-12
-            )
+        exact_truth.assert_truths_exact(model, space, "pop", exact_truth.cell_means(model))
         # monotone shortcut, on the harmful restriction of the same model
         harmful = EntanglementModel(model.b, model.m_b, {c: 0.0 for c in model.b})
         shortcut = monotone_ratio(
@@ -155,20 +149,14 @@ def test_criterion_5_generative_model_oracles():
         )
     for _ in range(500):
         model, space = random_logit(rng)
-        pooled = pooled_pair(model, space, "pop")
-        for measure, value in _values(
-            logit_population_measures(model, space, "pop")
-        ).items():
-            assert value == pytest.approx(
-                compute_measure(measure, pooled).value, abs=1e-12, rel=1e-12
-            )
+        exact_truth.assert_truths_exact(model, space, "pop", exact_truth.cell_means(model))
         # constant positive modulation: conditional log-OR is that constant,
         # the marginal lies strictly below it (and above the null)
         m = rng.uniform(0.2, 2.0)
         constant = LogitOutcomeModel(model.b, {c: m for c in model.b})
         logors = {logit_conditional_logor(constant, c) for c in space.cells}
         assert logors == {m}
-        marginal = _values(logit_population_measures(constant, space, "pop"))
+        marginal = _values(population_measures(constant, space, "pop"))
         b_values = set(model.b.values())
         if len(b_values) > 1:
             assert 0.0 < marginal[MeasureKind.LOG_OR] < m

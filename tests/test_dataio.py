@@ -594,6 +594,60 @@ class TestModelIO:
         with pytest.raises(ParseError, match="malformed content"):
             dataio.load_model(path)
 
+    @staticmethod
+    def write_model(path, model, populations=None):
+        path.write_text(
+            json.dumps(
+                {
+                    "covariates": ["x"],
+                    "cells": [[0], [1]],
+                    "populations": populations or {"pop": [0.5, 0.5]},
+                    "model": model,
+                }
+            )
+        )
+
+    FINITE = {
+        "continuous": {"type": "continuous", "b": [1, 1], "m": [0, 0]},
+        "entanglement": {"type": "entanglement", "b": [0.1, 0.2], "m_b": [0, 0], "m_g": [0, 0]},
+        "logit": {"type": "logit", "b": [0.0, 0.5], "m": [0, 0]},
+    }
+
+    @pytest.mark.parametrize(
+        "family, field, value",
+        [
+            ("continuous", "b", [math.nan, 1]),
+            ("continuous", "m", [math.inf, 0]),
+            ("continuous", "noise_sd", math.nan),
+            ("continuous", "noise_sd", "Infinity"),
+            ("entanglement", "m_b", [0, -math.inf]),
+            ("logit", "b", [math.nan, 0.5]),
+        ],
+    )
+    def test_non_finite_model_value_rejected(self, tmp_path, family, field, value):
+        path = tmp_path / "model.json"
+        self.write_model(path, dict(self.FINITE[family], **{field: value}))
+        with pytest.raises(ParseError, match=f"model.{field} must be finite") as caught:
+            dataio.load_model(path)
+        assert caught.value.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "family, key", [("continuous", "noise-sd"), ("logit", "extra"), ("logit", "m_b")]
+    )
+    def test_key_naming_no_field_rejected(self, tmp_path, family, key):
+        path = tmp_path / "model.json"
+        self.write_model(path, dict(self.FINITE[family], **{key: [0, 0]}))
+        with pytest.raises(ParseError, match=f"model.{key} is not a field of '{family}'") as caught:
+            dataio.load_model(path)
+        assert caught.value.exit_code == 2
+
+    def test_non_finite_population_probability_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        self.write_model(path, self.FINITE["logit"], {"pop": [math.nan, 1.0]})
+        with pytest.raises(InvariantViolation, match="'pop': cell probabilities") as caught:
+            dataio.load_model(path)
+        assert caught.value.exit_code == 2
+
     def test_file_bytes_pinned(self, tmp_path):
         """``type``, then the family's fields in declaration order: a
         per-cell function as its vector, a field with a default as a number."""

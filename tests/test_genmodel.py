@@ -1,6 +1,9 @@
+import importlib.util
 import math
 import random
 from dataclasses import fields
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,7 @@ from effectmeasures.errors import (
     UndefinedMeasure,
     UnknownCell,
 )
+import exact_truth
 from effectmeasures.genmodel import (
     ContinuousOutcomeModel,
     DiscreteCovariateSpace,
@@ -23,11 +27,9 @@ from effectmeasures.genmodel import (
     identify_modulation,
     local_ratio,
     logit_conditional_logor,
-    logit_population_measures,
     monotone_ratio,
     pooled_pair,
-    population_measures_binary,
-    population_measures_continuous,
+    population_measures,
     potential_mean,
 )
 from effectmeasures.measures import (
@@ -35,9 +37,15 @@ from effectmeasures.measures import (
     MeasureValue,
     OutcomeKind,
     OutcomePair,
-    compute_measure,
+    UndefinedAnnotation,
 )
+from effectmeasures.simbench import builtin_scenario, ground_truth
 from effectmeasures.strata import StratifiedDistribution, Stratum, marginal_pair
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("_oracles", ROOT / "perfbench" / "oracles.py")
+oracles = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracles)
 
 BENEFICIAL = MonotonicityDirection.BENEFICIAL
 HARMFUL = MonotonicityDirection.HARMFUL
@@ -102,8 +110,9 @@ class TestContinuousPopulation:
         # linear model mean over a two-cell split reproducing hand sums
         space = DiscreteCovariateSpace(("x",), ((0,), (1,)), {"pop": (0.25, 0.75)})
         model = ContinuousOutcomeModel({(0,): 10.0, (1,): 12.0}, {(0,): 3.0, (1,): 5.0})
-        out = population_measures_continuous(model, space, "pop")
+        out = values_by_kind(population_measures(model, space, "pop"))
         e_b, e_m = 11.5, 4.5
+        assert list(out) == [MeasureKind.RD, MeasureKind.RR, MeasureKind.ERR]
         assert out[MeasureKind.RD].value == pytest.approx(e_m, rel=1e-12)
         assert out[MeasureKind.RR].value == pytest.approx(1 + e_m / e_b, rel=1e-12)
         assert out[MeasureKind.ERR].value == pytest.approx(e_m / e_b, rel=1e-12)
@@ -111,8 +120,8 @@ class TestContinuousPopulation:
     def test_rd_invariant_to_baseline_shift(self):
         space = DiscreteCovariateSpace(("x",), ((0,), (1,)), {"pop": (0.4, 0.6)})
         m = {(0,): 3.0, (1,): -1.0}
-        rd = lambda b: population_measures_continuous(
-            ContinuousOutcomeModel(b, m), space, "pop"
+        rd = lambda b: values_by_kind(
+            population_measures(ContinuousOutcomeModel(b, m), space, "pop")
         )[MeasureKind.RD].value
         assert rd({(0,): 1.0, (1,): 2.0}) == pytest.approx(
             rd({(0,): 101.0, (1,): 102.0}), rel=1e-12
@@ -121,16 +130,26 @@ class TestContinuousPopulation:
     def test_null_modulation(self):
         space = one_cell_space()
         model = ContinuousOutcomeModel({(0,): 5.0}, {(0,): 0.0})
-        out = population_measures_continuous(model, space, "pop")
+        out = values_by_kind(population_measures(model, space, "pop"))
         assert out[MeasureKind.RD].value == 0.0
         assert out[MeasureKind.RR].value == 1.0
 
     def test_zero_baseline_mean_rejected(self):
+        # RR and ERR are reported undefined in-band; RD is still defined
         space = one_cell_space()
-        with pytest.raises(UndefinedMeasure):
-            population_measures_continuous(
-                ContinuousOutcomeModel({(0,): 0.0}, {(0,): 1.0}), space, "pop"
-            )
+        out = values_by_kind(
+            population_measures(ContinuousOutcomeModel({(0,): 0.0}, {(0,): 1.0}), space, "pop")
+        )
+        assert out[MeasureKind.RD] == MeasureValue(MeasureKind.RD, 1.0, 0.0)
+        for measure in (MeasureKind.RR, MeasureKind.ERR):
+            assert out[measure] == UndefinedAnnotation(measure, "RR requires mu0 != 0")
+
+    def test_matches_exact_pooled_pair_on_random_rational_models(self):
+        rng = random.Random(23)
+        for _ in range(100):
+            model, space, exact, probabilities = random_rational_continuous(rng)
+            means = exact_truth.cell_means(model, exact)
+            exact_truth.assert_truths_exact(model, space, "pop", means, probabilities)
 
 
 class TestBinaryPopulation:
@@ -140,7 +159,7 @@ class TestBinaryPopulation:
     )
     def test_roulette_cells(self, b, rr, rd):
         out = values_by_kind(
-            population_measures_binary(roulette_model(b), one_cell_space(), "pop")
+            population_measures(roulette_model(b), one_cell_space(), "pop")
         )
         assert out[MeasureKind.RR].value == pytest.approx(rr, abs=5e-4)
         assert out[MeasureKind.RD].value == pytest.approx(rd, abs=5e-4)
@@ -154,25 +173,92 @@ class TestBinaryPopulation:
             {c: 0.0 for c in cells},
             {c: 0.0 for c in cells},
         )
-        out = values_by_kind(population_measures_binary(model, space, "pop"))
+        out = values_by_kind(population_measures(model, space, "pop"))
         assert out[MeasureKind.RD].value == 0.0
         assert out[MeasureKind.RR].value == 1.0
         assert out[MeasureKind.SR].value == 1.0
         assert out[MeasureKind.OR].value == 1.0
-        assert not isinstance(out[MeasureKind.NNT], MeasureValue)  # diverges at null
+        # NNT diverges at the null: reported in-band, not raised
+        assert out[MeasureKind.NNT] == UndefinedAnnotation(
+            MeasureKind.NNT, "NNT diverges at a null effect (mu1 == mu0)"
+        )
+
+    @pytest.mark.parametrize("population", ["target", "source"])
+    def test_roulette_truths_are_exact(self, population):
+        """The roulette study's truths against its rational model in
+        ``perfbench/oracles.py``: the roundings imply at most 43 ulp, and
+        through ``entanglement_to_logit`` at most 196 ulp."""
+        study = builtin_scenario("roulette-heterogeneous")
+        cells = oracles.ROULETTE_CELLS
+        assert study.space.cells == cells
+        exact = {
+            "b": {c: oracles.roulette_baseline(*c) for c in cells},
+            "m_b": {c: oracles.roulette_switch_on(*c) for c in cells},
+            "m_g": {c: Fraction(0) for c in cells},
+        }
+        probabilities = {c: oracles.roulette_cell_probability(c, population) for c in cells}
+        means = exact_truth.cell_means(study.model, exact)
+        intervals = exact_truth.assert_truths_exact(
+            study.model, study.space, population, means, probabilities
+        )
+        assert exact_truth.widest(intervals) <= 43
+        if population == "target":  # the intervals hold the oracle's own truths
+            for name in ("rd", "rr", "sr", "or"):
+                assert oracles.roulette_truth(name) in intervals[MeasureKind(name)]
+        for measure, interval in intervals.items():
+            assert ground_truth(study, measure, population) in interval
+        translated = exact_truth.translated_cell_means(study.model, exact)
+        intervals = exact_truth.assert_truths_exact(
+            entanglement_to_logit(study.model), study.space, population, translated, probabilities
+        )
+        assert exact_truth.widest(intervals) <= 196
 
     def test_matches_pooled_pair_on_random_models(self):
         rng = random.Random(99)
         for _ in range(100):
-            model, space = random_entanglement(rng)
-            pooled = pooled_pair(model, space, "pop")
-            out = values_by_kind(population_measures_binary(model, space, "pop"))
-            for measure in MeasureKind:
-                entry = out[measure]
-                if isinstance(entry, MeasureValue):
-                    assert entry.value == pytest.approx(
-                        compute_measure(measure, pooled).value, abs=1e-12, rel=1e-12
-                    )
+            model, space, exact, probabilities = random_rational_entanglement(rng)
+            means = exact_truth.cell_means(model, exact)
+            exact_truth.assert_truths_exact(model, space, "pop", means, probabilities)
+
+
+def _rational_space(rng: random.Random, max_cells: int):
+    k = rng.randint(2, max_cells)
+    cells = tuple((i,) for i in range(k))
+    weights = [rng.randint(1, 20) for _ in cells]
+    probabilities = {c: Fraction(w, sum(weights)) for c, w in zip(cells, weights)}
+    space = DiscreteCovariateSpace(
+        ("x",), cells, {"pop": tuple(float(p) for p in probabilities.values())}
+    )
+    return space, probabilities
+
+
+def _floats(exact):
+    return {name: {c: float(v) for c, v in fn.items()} for name, fn in exact.items()}
+
+
+def random_rational_entanglement(rng: random.Random, max_cells: int = 16):
+    """An entanglement model with rational parameters in thirtieths, switch
+    probabilities at most 9/10, and rational cell probabilities: (model,
+    space, {field: {cell: Fraction}}, {cell: Fraction})."""
+    space, probabilities = _rational_space(rng, max_cells)
+    exact = {
+        "b": {c: Fraction(rng.randint(1, 29), 30) for c in space.cells},
+        "m_b": {c: Fraction(rng.randint(0, 27), 30) for c in space.cells},
+        "m_g": {c: Fraction(rng.randint(0, 27), 30) for c in space.cells},
+    }
+    return EntanglementModel(**_floats(exact)), space, exact, probabilities
+
+
+def random_rational_continuous(rng: random.Random, max_cells: int = 16):
+    """A continuous model with a positive baseline and a modulation of
+    either sign, in thirds, sevenths or tenths; as
+    :func:`random_rational_entanglement`."""
+    space, probabilities = _rational_space(rng, max_cells)
+    exact = {
+        "b": {c: Fraction(rng.randint(1, 200), rng.choice((3, 7, 10))) for c in space.cells},
+        "m": {c: Fraction(rng.randint(-100, 100), rng.choice((3, 7, 10))) for c in space.cells},
+    }
+    return ContinuousOutcomeModel(**_floats(exact)), space, exact, probabilities
 
 
 def random_entanglement(rng: random.Random, max_cells: int = 16):
@@ -240,7 +326,7 @@ class TestMonotoneRatio:
             model, space = random_entanglement(rng)
             harmful = EntanglementModel(model.b, model.m_b, {c: 0.0 for c in model.b})
             shortcut = monotone_ratio(harmful, space, "pop", HARMFUL).value
-            full = values_by_kind(population_measures_binary(harmful, space, "pop"))
+            full = values_by_kind(population_measures(harmful, space, "pop"))
             assert shortcut == pytest.approx(full[MeasureKind.SR].value, abs=1e-12, rel=1e-12)
 
     def test_direction_violations(self):
@@ -322,32 +408,30 @@ class TestLogitModel:
     def test_null_modulation(self):
         model = LogitOutcomeModel({(0,): 0.7}, {(0,): 0.0})
         assert logit_conditional_logor(model, (0,)) == 0.0
-        out = values_by_kind(logit_population_measures(model, one_cell_space(), "pop"))
+        out = values_by_kind(population_measures(model, one_cell_space(), "pop"))
         assert out[MeasureKind.OR].value == pytest.approx(1.0, rel=1e-12)
 
     def test_single_cell_marginal_equals_conditional(self):
         model = LogitOutcomeModel({(0,): -0.4}, {(0,): 1.3})
-        out = values_by_kind(logit_population_measures(model, one_cell_space(), "pop"))
+        out = values_by_kind(population_measures(model, one_cell_space(), "pop"))
         assert out[MeasureKind.LOG_OR].value == pytest.approx(1.3, rel=1e-12)
 
     def test_heterogeneous_baseline_attenuates_marginal_log_or(self):
         space = DiscreteCovariateSpace(("x",), ((0,), (1,)), {"pop": (0.5, 0.5)})
         model = LogitOutcomeModel({(0,): -2.0, (1,): 2.0}, {(0,): 1.0, (1,): 1.0})
-        out = values_by_kind(logit_population_measures(model, space, "pop"))
+        out = values_by_kind(population_measures(model, space, "pop"))
         assert 0.0 < out[MeasureKind.LOG_OR].value < 1.0
 
     def test_matches_pooled_pair_on_random_models(self):
+        """A logit model made by ``entanglement_to_logit`` has the
+        entanglement model's exact pooled pair and truths, within the
+        roundings of the log-odds round trip."""
         rng = random.Random(13)
         for _ in range(100):
-            model, space = random_logit(rng)
-            pooled = pooled_pair(model, space, "pop")
-            out = values_by_kind(logit_population_measures(model, space, "pop"))
-            for measure in MeasureKind:
-                entry = out[measure]
-                if isinstance(entry, MeasureValue):
-                    assert entry.value == pytest.approx(
-                        compute_measure(measure, pooled).value, abs=1e-12, rel=1e-12
-                    )
+            model, space, exact, probabilities = random_rational_entanglement(rng)
+            as_logit = entanglement_to_logit(model)
+            means = exact_truth.translated_cell_means(model, exact)
+            exact_truth.assert_truths_exact(as_logit, space, "pop", means, probabilities)
 
     def test_entanglement_translation_preserves_means(self):
         rng = random.Random(17)
@@ -409,6 +493,13 @@ class TestModelValidation:
     def test_population_vector_must_normalize(self):
         with pytest.raises(InvariantViolation):
             DiscreteCovariateSpace(("x",), ((0,), (1,)), {"pop": (0.5, 0.6)})
+
+    @pytest.mark.parametrize(
+        "probabilities", [(math.nan, 1.0), (1.0, math.nan), (math.inf, -math.inf)]
+    )
+    def test_population_probabilities_must_be_finite(self, probabilities):
+        with pytest.raises(InvariantViolation, match="must lie in"):
+            DiscreteCovariateSpace(("x",), ((0,), (1,)), {"pop": probabilities})
 
     def test_cell_arity_checked(self):
         with pytest.raises(InvariantViolation):

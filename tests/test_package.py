@@ -1,5 +1,8 @@
 """The package's public names and the one home of each vocabulary enum."""
 
+import importlib
+import pkgutil
+
 import pytest
 
 import effectmeasures
@@ -50,3 +53,20 @@ def test_unknown_name_is_an_attribute_error():
 )
 def test_vocabulary_enum_has_one_home(module, name):
     assert getattr(module, name) is getattr(vocab, name)
+
+
+# The package and each of its modules that declares ``__all__``.
+DECLARING = [effectmeasures] + [
+    module
+    for info in pkgutil.iter_modules(effectmeasures.__path__)
+    if hasattr(module := importlib.import_module(f"effectmeasures.{info.name}"), "__all__")
+]
+
+
+@pytest.mark.parametrize("module", DECLARING, ids=[m.__name__ for m in DECLARING])
+def test_every_exported_name_resolves(module):
+    """A name in ``__all__`` that the module no longer defines, such as a
+    deleted function, makes ``from module import *`` fail."""
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert missing == []
+    assert len(set(module.__all__)) == len(module.__all__)

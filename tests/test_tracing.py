@@ -4,7 +4,8 @@
 names ``simbench`` and ``cli`` call them by. A dispatch that reached the
 estimators any other way would leave its calls out of the per-layer
 metrics. The tracer patches modules globally, so each command runs
-traced in its own process, as the benchmark runs it.
+traced in its own process, as the benchmark runs it. Every hook the
+tracer installs must also still be reached under its name.
 """
 
 from __future__ import annotations
@@ -26,15 +27,25 @@ tracing = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tracing)
 
 
-def traced_metrics(tmp_path: Path, *cli_args: str) -> dict:
+def run_traced(tmp_path: Path, *cli_args: str) -> dict:
+    """The trace of one command, run under the tracer in its own process."""
     trace_path = tmp_path / "trace.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    subprocess.run(
+    done = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "tracing.py"), str(trace_path), *cli_args],
-        check=True, cwd=tmp_path, env=env, capture_output=True,
+        cwd=tmp_path, env=env, capture_output=True, text=True,
     )
-    return tracing.layer_metrics([json.loads(trace_path.read_text())])
+    assert done.returncode == 0, done.stderr
+    return json.loads(trace_path.read_text())
+
+
+def traced_metrics(tmp_path: Path, *cli_args: str) -> dict:
+    return tracing.layer_metrics([run_traced(tmp_path, *cli_args)])
+
+
+def traced_span_names(tmp_path: Path, *cli_args: str) -> set[str]:
+    return {span["name"] for span in run_traced(tmp_path, *cli_args)["spans"]}
 
 
 def span_metric(name: str, learner_value: str) -> str:
@@ -80,3 +91,36 @@ def test_transport_counts_and_times_its_estimator(tmp_path, name):
     assert metrics["transport.estimator_calls"] == 1
     assert metrics["transport.estimator_failures"] == 0
     assert metrics[span_metric(name, "cell-means")] > 0
+
+
+def test_every_hook_of_the_tracer_is_reached(tmp_path, monkeypatch):
+    """The tracer wraps the program's functions by module and name, and a
+    wrapper whose name no caller looks up any more records nothing. Each
+    benchmark command must therefore still reach the spans it is timed by,
+    ``genmodel.population_measures_binary`` (simbench's name for the
+    roulette truth) included."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    spans = traced_span_names(
+        tmp_path, "simulate", "--scenario", "roulette-heterogeneous", "--seed", "1",
+        "--reps", "2", "--n", "400", "--m", "400", "--out", "report.csv",
+    )
+    assert spans >= {
+        "cli.main", "simbench.run_scenario", "simbench.sample_trial", "simbench.sample_target",
+        "simbench.write_report_csv", "genmodel.population_measures_binary",
+        "transport.sample_validate", "transport.gformula_cell_means", "transport.ipsw",
+        "transport.local_cell_means", "transport.density_ratio",
+    }
+    assert traced_span_names(tmp_path, "grid", "--resolution", "3", "--out", "grid.csv") >= {
+        "cli.main", "dataio.emit_grid",
+    }
+    workloads.write_roulette_files(1, 300, 300, tmp_path / "trial.csv", tmp_path / "target.csv")
+    spans = traced_span_names(
+        tmp_path, "transport", "--trial", "trial.csv", "--target", "target.csv",
+        "--measure", "rr", "--strategy", "ipsw", "--covariates", "lifestyle,stress", "--json",
+    )
+    assert spans >= {
+        "cli.main", "dataio.load_trial", "dataio.load_target", "transport.sample_validate",
+        "transport.ipsw", "transport.density_ratio",
+    }

@@ -22,7 +22,7 @@ from effectmeasures.genmodel import (
     DiscreteCovariateSpace,
     EntanglementModel,
     MonotonicityDirection,
-    population_measures_binary,
+    population_measures,
 )
 from effectmeasures.measures import (
     MeasureKind,
@@ -105,7 +105,7 @@ def oracle_target():
 def oracle_values(model, space, population):
     return {
         e.measure: e.value
-        for e in population_measures_binary(model, space, population)
+        for e in population_measures(model, space, population)
         if isinstance(e, MeasureValue)
     }
 
