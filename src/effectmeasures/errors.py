@@ -41,7 +41,8 @@ class NonCollapsible(EffectMeasureError):
     exit_code = 3
 
     def __init__(self, measure) -> None:
-        super().__init__(f"{measure} is not collapsible")
+        name = getattr(measure, "value", measure)  # a MeasureKind, or a name
+        super().__init__(f"{name} is not collapsible")
         self.measure = measure
 
 

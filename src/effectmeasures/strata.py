@@ -122,7 +122,8 @@ class StratifiedDistribution:
         for s in self.strata:
             if s.pair.kind is not self.kind:
                 raise InvariantViolation(
-                    f"stratum {s.label!r} has kind {s.pair.kind}, distribution is {self.kind}"
+                    f"stratum {s.label!r} has kind {s.pair.kind.value}, "
+                    f"distribution is {self.kind.value}"
                 )
 
 

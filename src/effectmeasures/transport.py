@@ -355,22 +355,27 @@ class GeneralizedEstimate:
 def _code_column(source: np.ndarray, target: np.ndarray) -> tuple[int, np.ndarray]:
     """Level count and per-row level codes of one covariate over trial
     and target rows together; levels in sorted order where they compare.
+    The codes are a new array of the smallest signed integer type that
+    indexes the levels, ``np.min_scalar_type(-levels)``.
 
     An int64 column whose value range is below its row count is coded
-    without a sort: the levels present are counted by offset from the
-    minimum, and a running count of them gives each offset its code, the
-    code ``np.unique`` would give.
+    without a sort: the minimum is subtracted in place from the rows'
+    concatenation, the offsets present are counted, and a running count
+    of them gives each offset its code, the code ``np.unique`` would give.
     """
     if source.dtype != object and target.dtype != object:
         values = np.concatenate([source, target])
         if values.dtype == np.int64:
             lo, hi = int(values.min()), int(values.max())
             if hi - lo < len(values):  # Python ints: hi - lo can exceed int64
-                offsets = values - lo
-                code_of_offset = np.cumsum(np.bincount(offsets) > 0) - 1
-                return int(code_of_offset[-1]) + 1, code_of_offset[offsets]
+                values -= lo
+                present = np.bincount(values) > 0  # offset 0, the minimum, is present
+                levels = int(np.count_nonzero(present))
+                code_of_offset = np.zeros(len(present), np.min_scalar_type(-levels))
+                np.cumsum(present[1:], out=code_of_offset[1:])
+                return levels, code_of_offset[values]
         levels, inverse = np.unique(values, return_inverse=True)
-        return len(levels), inverse
+        return len(levels), inverse.astype(np.min_scalar_type(-len(levels)))
     values = source.tolist() + target.tolist()
     levels = list(dict.fromkeys(values))
     try:
@@ -378,7 +383,8 @@ def _code_column(source: np.ndarray, target: np.ndarray) -> tuple[int, np.ndarra
     except TypeError:  # e.g. ints mixed with strings: first-seen order
         pass
     index = {value: k for k, value in enumerate(levels)}
-    return len(levels), np.fromiter(map(index.__getitem__, values), np.int64, len(values))
+    dtype = np.min_scalar_type(-len(levels))
+    return len(levels), np.fromiter(map(index.__getitem__, values), dtype, len(values))
 
 
 class _Cells:
@@ -392,26 +398,37 @@ class _Cells:
     Codes run over ``0..size-1`` in the sorted order of the cell tuples
     and mean the same cell in both samples. Each covariate is coded on
     its own, once per pair (see :func:`_coded_column`), and the codes are
-    combined in mixed radix; whenever the radix product exceeds the row
-    count, the codes are re-compacted, so the product stays below the
-    squared row count and never overflows int64.
+    combined in place in mixed radix, in the smallest signed integer type
+    that indexes the running radix product, ``np.min_scalar_type(-size)``,
+    so no product overflows it. Whenever that product exceeds the row
+    count, the codes are re-compacted, so it stays below the squared row
+    count and its type is at most int64.
     """
 
     def __init__(self, trial: TrialSample, target: TargetSample, covariates: Sequence[str]):
         self.trial_columns = [trial.columns[i] for i in trial.column_indices(covariates)]
         self.target_columns = [target.columns[i] for i in target.column_indices(covariates)]
-        code = np.zeros(trial.n + target.n, dtype=np.int64)
+        code = np.zeros(trial.n + target.n, dtype=np.int8)
         size = 1
         for name in covariates:
             levels, inverse = _coded_column(trial, target, (name,))
-            code = code * levels + inverse
+            if size == 1:  # every code is 0, and ``levels`` may not fit the type of 1
+                code = inverse.copy()
+            else:
+                code = code.astype(np.min_scalar_type(-size * levels), copy=False)
+                code *= levels
+                code += inverse
             size *= levels
             if size > len(code):
-                cells, code = np.unique(code, return_inverse=True)
+                cells, inverse = np.unique(code, return_inverse=True)
                 size = len(cells)
+                code = inverse.astype(np.min_scalar_type(-size))
         self.size = size
         self.trial, self.target = _frozen(code[: trial.n]), _frozen(code[trial.n :])
-        by_arm = 2 * self.trial + trial.a  # one bin per (cell, arm), read back as (arm, cell)
+        # one bin per (cell, arm), in the type that indexes 2 * size, read back as (arm, cell)
+        by_arm = self.trial.astype(np.min_scalar_type(-2 * size))
+        by_arm *= 2
+        by_arm += trial.a
         self.arm_count = _frozen(np.bincount(by_arm, None, 2 * size).reshape(size, 2).T)
         self.arm_total = _frozen(np.bincount(by_arm, trial.y, 2 * size).reshape(size, 2).T)
         self.target_counts = _frozen(np.bincount(self.target, minlength=size))
@@ -475,12 +492,11 @@ def _once_per_pair(compute):
 
 @_once_per_pair
 def _coded_column(trial: TrialSample, target: TargetSample, covariates: tuple[str]):
-    """:func:`_code_column` of the one covariate in ``covariates``, its
-    codes in the smallest signed integer type that holds them: the memo
-    keeps them while the samples live."""
+    """:func:`_code_column` of the one covariate in ``covariates``, which
+    the memo keeps while the samples live."""
     (i,), (j,) = trial.column_indices(covariates), target.column_indices(covariates)
     levels, inverse = _code_column(trial.columns[i], target.columns[j])
-    return levels, _frozen(inverse.astype(np.min_scalar_type(-levels)))
+    return levels, _frozen(inverse)
 
 
 _cells = _once_per_pair(_Cells)

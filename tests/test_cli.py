@@ -311,6 +311,15 @@ class TestPlan:
         assert code == EXIT_SEMANTICS
         assert "NonCollapsible" in err
 
+    def test_non_collapsible_measure_named_by_its_value(self, capsys):
+        code, err = self.plan(
+            capsys,
+            "--roles", ROLES_BIN, "--measure", "or",
+            "--outcome", "binary", "--strategy", "local",
+        )
+        assert code == EXIT_SEMANTICS
+        assert err.splitlines()[-1] == "NonCollapsible: or is not collapsible"
+
     def test_unknown_direction_rejected(self, capsys):
         code, _, _ = run(
             capsys,
@@ -370,6 +379,11 @@ class TestTransport:
         code, local = self.estimate(capsys, *toy_files, "rd", "local")
         assert code == EXIT_OK
         assert local == pytest.approx(gform, abs=1e-12)
+
+    def test_local_nnt_names_the_measure_by_its_value(self, capsys, toy_files):
+        code, err = self.estimate(capsys, *toy_files, "nnt", "local")
+        assert code == EXIT_SEMANTICS
+        assert err.splitlines()[-1] == "NonCollapsible: nnt is not collapsible"
 
     def test_ipsw_golden(self, capsys, toy_files):
         code, value = self.estimate(capsys, *toy_files, "rr", "ipsw")

@@ -67,6 +67,12 @@ class TestWeights:
         with pytest.raises(NonCollapsible):
             collapsibility_weights(measure, protective_table)
 
+    @pytest.mark.parametrize("measure", NON_COLLAPSIBLE)
+    def test_non_collapsible_names_the_measure_by_its_value(self, protective_table, measure):
+        with pytest.raises(NonCollapsible) as excinfo:
+            collapsibility_weights(measure, protective_table)
+        assert str(excinfo.value) == f"{measure.value} is not collapsible"
+
     def test_weight_domain_violation_surfaces(self):
         bad = StratifiedDistribution(
             (
@@ -273,3 +279,11 @@ class TestValidation:
                 ),
                 OutcomeKind.BINARY,
             )
+
+    def test_mixed_kinds_named_by_their_values(self):
+        with pytest.raises(InvariantViolation) as excinfo:
+            StratifiedDistribution(
+                (Stratum("b", 1.0, OutcomePair(3.0, 2.0, OutcomeKind.CONTINUOUS)),),
+                OutcomeKind.BINARY,
+            )
+        assert str(excinfo.value) == "stratum 'b' has kind continuous, distribution is binary"

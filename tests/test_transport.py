@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -582,7 +583,9 @@ def _unique_codes(source, target):
 
 
 class TestIntegerCoding:
-    """int64 columns coded by counting get the codes ``np.unique`` gives."""
+    """int64 columns coded by counting get the codes ``np.unique`` gives,
+    and cell codes are ``np.unique``'s codes of the cell tuples; each in
+    the smallest signed integer type that indexes its levels or cells."""
 
     @pytest.mark.parametrize(
         "source, target, sorts",
@@ -602,7 +605,7 @@ class TestIntegerCoding:
         monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(a) or unique(*a, **kw))
         size, codes = _code_column(source, target)
         assert type(size) is int and size == levels
-        assert codes.dtype == inverse.dtype and codes.tolist() == inverse.tolist()
+        assert codes.dtype == np.min_scalar_type(-levels) and codes.tolist() == inverse.tolist()
         assert bool(calls) is sorts
 
     @settings(max_examples=200, deadline=None)
@@ -633,6 +636,47 @@ class TestIntegerCoding:
         _, by_row = np.unique(np.vstack([trial_x, target_x]), axis=0, return_inverse=True)
         _, by_code = np.unique(np.concatenate([cells.trial, cells.target]), return_inverse=True)
         assert by_code.tolist() == by_row.tolist()
+
+    @pytest.mark.parametrize(
+        "levels, kind",
+        [
+            ((127,), int), ((128,), int), ((129,), int), ((128,), float), ((129,), str),
+            ((1, 127), int), ((2, 64), int), ((3, 43), int), ((43, 3), str),
+            ((7, 31, 151), int), ((128, 256), int), ((2, 16384), float),
+        ],
+    )
+    def test_cell_codes_have_the_smallest_type(self, levels, kind):
+        """Every cell of the radix product present, rows shuffled: the
+        codes are the sorted cells' indices, of the smallest signed type
+        that indexes them, and so are the ``(cell, arm)`` bins."""
+        size = math.prod(levels)
+        rows = np.random.default_rng(size).permutation(size)
+        digits = np.stack(np.unravel_index(rows, levels), axis=1) - 1
+        self.assert_codes(digits, kind, size)
+
+    def test_cell_codes_after_recompaction_have_the_smallest_type(self):
+        """100 rows over a radix product of 10,000: the codes are
+        re-compacted to the 100 cells present, in int8."""
+        digits = np.random.default_rng(9).permutation(100)[:, None] + [0, 0]
+        digits[:, 1] = digits[::-1, 0]
+        self.assert_codes(digits, int, 100)
+
+    @staticmethod
+    def assert_codes(digits: np.ndarray, kind: type, size: int):
+        names = tuple(f"c{j}" for j in range(digits.shape[1]))
+        x = digits.astype(kind) if kind is not str else (
+            np.vectorize("{:06d}".format, otypes=[object])(digits + 1)  # sorts as the digits do
+        )
+        split = len(digits) // 2
+        a = np.arange(split) % 2
+        trial = TrialSample(names, x[:split], a, np.zeros(split))
+        cells = _Cells(trial, TargetSample(names, x[split:]), names)
+        _, by_row = np.unique(digits, axis=0, return_inverse=True)
+        assert cells.size == size
+        assert cells.trial.dtype == cells.target.dtype == np.min_scalar_type(-size)
+        assert np.concatenate([cells.trial, cells.target]).tolist() == by_row.tolist()
+        want = np.bincount(2 * by_row[:split] + a, minlength=2 * size).reshape(size, 2).T
+        assert cells.arm_count.tolist() == want.tolist()
 
 
 def _fsum_outcome(compute):
@@ -894,6 +938,35 @@ class TestCellTable:
             assert cells.present.tolist() == np.flatnonzero(want["target_counts"]).tolist()
 
 
+class TestCellMemory:
+    """The cell table of a 100,000 + 100,000-row pair keeps one byte per
+    row; with int64 codes each cold estimator below peaks above 6 MB and
+    its memo holds about 2 MB."""
+
+    @pytest.mark.parametrize(
+        "fn, measure, covariates",
+        [
+            (gformula_conditional, MeasureKind.RD, ("lifestyle", "stress")),
+            (ipsw_conditional, MeasureKind.RD, ("lifestyle", "stress")),
+            (generalize_local, MeasureKind.SR, ("lifestyle", "stress", "gender")),
+        ],
+    )
+    def test_cold_cell_means_estimators_stay_small(self, fn, measure, covariates):
+        rng = np.random.default_rng(22)
+        names, n = ("lifestyle", "stress", "gender"), 100_000
+        trial = TrialSample(
+            names, rng.integers(0, 2, (n, 3)), np.arange(n) % 2, rng.integers(0, 2, n)
+        )
+        target = TargetSample(names, rng.integers(0, 2, (n, 3)), rng.integers(0, 2, n))
+        tracemalloc.start()
+        try:
+            fn(trial, target, measure, covariates)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5e6 and held < 1e6, (peak, held)
+
+
 def _cell_means_digest() -> str:
     """SHA-256 over every cell-means estimate of gformula, IPSW and local,
     each measure and four covariate sets, on seeded roulette samples: a
@@ -924,7 +997,7 @@ def test_cell_means_estimates_are_pinned_bit_for_bit():
     """Every estimate and error text of the three cell-means estimators on
     seeded roulette samples, by digest: a change to how the cell sums are
     computed moves no bit unseen."""
-    assert _cell_means_digest() == "9851e77e53b17afc36b51c018748c48824382e8cdc3dfa09fcc97f14cbc051b8"
+    assert _cell_means_digest() == "6fde5236f10532444d6b163a90b2ab02ce65b60ff1a76c4296b43054bafc4ae2"
 
 
 def _least_squares_digest() -> str:
@@ -955,4 +1028,4 @@ def _least_squares_digest() -> str:
 def test_least_squares_estimates_are_pinned_bit_for_bit():
     """Every estimate and error text of the least-squares g-formula and
     local estimators on seeded continuous samples, by digest."""
-    assert _least_squares_digest() == "bf3445f69f267199714b398eb2d80bf95630d2e2bd74f1e5d865b80ae4c6f301"
+    assert _least_squares_digest() == "175d709203a35c1002d0a9d8f2551d05189e2622f0b5b37a24c199f8a69b751c"
