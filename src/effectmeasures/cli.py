@@ -206,17 +206,15 @@ def _json_number(value: float) -> float | None:
 def _cmd_simulate(args) -> int:
     from . import simbench
     scenario = simbench.builtin_scenario(args.scenario)
-    config = simbench.default_config(scenario)
     report = simbench.run_scenario(
         scenario,
         seed=args.seed,
         reps=args.reps,
-        config=config,
         n=args.n,
         m=args.m,
         workers=args.workers,
     )
-    simbench.write_report_csv(report, config, args.out)
+    simbench.write_report_csv(report, args.out)
     if args.json:
         payload = [
             {

@@ -20,12 +20,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import EffectMeasureError, InvariantViolation, UnknownScenario
-from .genmodel import DiscreteCovariateSpace, EntanglementModel, MeasureValue, potential_mean
+from .genmodel import DiscreteCovariateSpace, EntanglementModel, potential_mean
 
 # The benchmark's tracer times the roulette truth by wrapping this name in
 # this module; renaming it is a change to the benchmark as well.
 from .genmodel import population_measures as population_measures_binary
-from .measures import MeasureKind, UndefinedMeasure
+from .measures import (
+    MeasureKind, MeasureValue, OutcomeKind, OutcomePair, UndefinedAnnotation, UndefinedMeasure,
+    all_measures,
+)
 from .transport import (
     GeneralizedEstimate,
     Learner,
@@ -161,8 +164,16 @@ class Scenario:
         y0 = self._outcome(rng, x, 0) if self.target_y0 else None
         return TargetSample(self.covariates, x, y0)
 
-    def ground_truth(self, measure: MeasureKind, population: str = "target") -> float:
+    def truths(self, population: str) -> list[MeasureValue | UndefinedAnnotation]:
+        """Every measure of the population's outcome pair, from the
+        measure kernel, undefined ones in-band."""
         raise NotImplementedError
+
+    def ground_truth(self, measure: MeasureKind, population: str = "target") -> float:
+        for entry in self.truths(population):
+            if entry.measure is measure and isinstance(entry, MeasureValue):
+                return entry.value
+        raise UndefinedMeasure(f"{measure.value} has no ground truth for this scenario")
 
 
 class _ContinuousLinear(Scenario):
@@ -195,6 +206,7 @@ class _ContinuousLinear(Scenario):
     _MEANS = {"source": np.array([6.0, 5.0, 8.0]), "target": np.array([15.0, 7.0, 10.0])}
     _P4 = {"source": 0.8, "target": 0.3}
     _P5 = 0.8
+    _X6_MEAN = 4.0
     _NOISE_SD = math.sqrt(2.0)
 
     @staticmethod
@@ -213,7 +225,7 @@ class _ContinuousLinear(Scenario):
         x123 = self._MEANS[population] + z @ self._CHOL.T
         x4 = rng.binomial(1, self._P4[population], size)
         x5 = rng.binomial(1, self._P5, size)
-        x6 = rng.normal(4.0, 1.0, size)
+        x6 = rng.normal(self._X6_MEAN, 1.0, size)
         return np.column_stack([x123, x4, x5, x6])
 
     def _outcome(self, rng: np.random.Generator, x: np.ndarray, a) -> np.ndarray:
@@ -222,18 +234,13 @@ class _ContinuousLinear(Scenario):
 
     def _moments(self, population: str) -> tuple[float, float]:
         # b and m are linear, so their means are their values at the covariate means
-        means = np.array([[*self._MEANS[population], self._P4[population], self._P5, 4.0]])
+        population_means = [*self._MEANS[population], self._P4[population], self._P5, self._X6_MEAN]
+        means = np.array([population_means])
         return float(self._b(means)[0]), float(self._m(means)[0])
 
-    def ground_truth(self, measure: MeasureKind, population: str = "target") -> float:
-        e_b, e_m = self._moments(population)
-        if measure is MeasureKind.RD:
-            return e_m
-        if measure is MeasureKind.RR:
-            return 1.0 + e_m / e_b
-        if measure is MeasureKind.ERR:
-            return e_m / e_b
-        raise UndefinedMeasure(f"{measure.value} is undefined for a continuous outcome")
+    def truths(self, population: str) -> list[MeasureValue | UndefinedAnnotation]:
+        e_b, e_m = self._moments(population)  # the outcome pair is (E[b], E[b] + E[m])
+        return all_measures(OutcomePair(e_b, e_b + e_m, OutcomeKind.CONTINUOUS))
 
 
 class _RouletteHeterogeneous(Scenario):
@@ -291,11 +298,8 @@ class _RouletteHeterogeneous(Scenario):
         l, s, g = x.T
         return rng.binomial(1, self.risk[a, 4 * l + 2 * s + g])
 
-    def ground_truth(self, measure: MeasureKind, population: str = "target") -> float:
-        for entry in population_measures_binary(self.model, self.space, population):
-            if entry.measure is measure and isinstance(entry, MeasureValue):
-                return entry.value
-        raise UndefinedMeasure(f"{measure.value} has no ground truth for this scenario")
+    def truths(self, population: str) -> list[MeasureValue | UndefinedAnnotation]:
+        return population_measures_binary(self.model, self.space, population)
 
 
 _SCENARIOS = {
@@ -439,11 +443,12 @@ def run_scenario(
     return AggregateReport(scenario.name, seed, reps, tuple(results), tuple(summaries))
 
 
-def report_rows(report: AggregateReport, config: tuple[EstimatorConfig, ...]):
-    """Long-format rows: one per (replication, estimator configuration)."""
-    by_key = {s.config.key: s.ground_truth for s in report.summaries}
+def report_rows(report: AggregateReport):
+    """Long-format rows: one per (replication, estimator configuration of
+    the report's summaries)."""
     for result in report.results:
-        for entry in config:
+        for summary in report.summaries:
+            entry = summary.config
             est = result.estimates.get(entry.key)
             yield (
                 report.scenario,
@@ -452,13 +457,13 @@ def report_rows(report: AggregateReport, config: tuple[EstimatorConfig, ...]):
                 entry.strategy,
                 "+".join(entry.covariates),
                 "NA" if est is None else repr(est),
-                repr(by_key[entry.key]),
+                repr(summary.ground_truth),
             )
 
 
-def write_report_csv(report: AggregateReport, config: tuple[EstimatorConfig, ...], path) -> None:
+def write_report_csv(report: AggregateReport, path) -> None:
     """Plot-ready long-format CSV; floats in shortest-roundtrip form."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("scenario,rep,measure,strategy,covariate_set,estimate,ground_truth\n")
-        for row in report_rows(report, config):
+        for row in report_rows(report):
             fh.write(",".join(str(v) for v in row) + "\n")

@@ -231,7 +231,7 @@ class _Sample:
     back the rows as a 2-D array, built on each access. A sample owns
     every array it holds, copied from its arguments, so it never changes
     after construction and the estimators may keep results computed from
-    it (see :func:`_pair_memo`).
+    it (see :func:`_once_per_pair`).
     """
 
     __slots__ = ("covariates", "columns", "n")
@@ -397,12 +397,14 @@ class _Cells:
 
     Codes run over ``0..size-1`` in the sorted order of the cell tuples
     and mean the same cell in both samples. Each covariate is coded on
-    its own, once per pair (see :func:`_coded_column`), and the codes are
-    combined in place in mixed radix, in the smallest signed integer type
-    that indexes the running radix product, ``np.min_scalar_type(-size)``,
-    so no product overflows it. Whenever that product exceeds the row
-    count, the codes are re-compacted, so it stays below the squared row
-    count and its type is at most int64.
+    its own by :func:`_code_column`, and the codes are combined in place
+    in mixed radix, in the smallest signed integer type that indexes the
+    running radix product, ``np.min_scalar_type(-size)``, so no product
+    overflows it. Whenever that product exceeds the row count, the codes
+    are re-compacted, so it stays below the squared row count and its
+    type is at most int64. The bins are counted on one intp copy of the
+    trial codes and one of the target codes, the type ``np.bincount``
+    would otherwise convert them to on each call.
     """
 
     def __init__(self, trial: TrialSample, target: TargetSample, covariates: Sequence[str]):
@@ -410,10 +412,10 @@ class _Cells:
         self.target_columns = [target.columns[i] for i in target.column_indices(covariates)]
         code = np.zeros(trial.n + target.n, dtype=np.int8)
         size = 1
-        for name in covariates:
-            levels, inverse = _coded_column(trial, target, (name,))
+        for source_column, target_column in zip(self.trial_columns, self.target_columns):
+            levels, inverse = _code_column(source_column, target_column)
             if size == 1:  # every code is 0, and ``levels`` may not fit the type of 1
-                code = inverse.copy()
+                code = inverse
             else:
                 code = code.astype(np.min_scalar_type(-size * levels), copy=False)
                 code *= levels
@@ -425,16 +427,15 @@ class _Cells:
                 code = inverse.astype(np.min_scalar_type(-size))
         self.size = size
         self.trial, self.target = _frozen(code[: trial.n]), _frozen(code[trial.n :])
-        # one bin per (cell, arm), in the type that indexes 2 * size, read back as (arm, cell)
-        by_arm = self.trial.astype(np.min_scalar_type(-2 * size))
-        by_arm *= 2
-        by_arm += trial.a
-        self.arm_count = _frozen(np.bincount(by_arm, None, 2 * size).reshape(size, 2).T)
-        self.arm_total = _frozen(np.bincount(by_arm, trial.y, 2 * size).reshape(size, 2).T)
-        self.target_counts = _frozen(np.bincount(self.target, minlength=size))
-        self.target_y0 = None if target.y0 is None else _frozen(
-            np.bincount(self.target, target.y0, size)
-        )
+        # one bin per (cell, arm), read back as (arm, cell)
+        bins = self.trial.astype(np.intp)
+        bins *= 2
+        bins += trial.a
+        self.arm_count = _frozen(np.bincount(bins, None, 2 * size).reshape(size, 2).T)
+        self.arm_total = _frozen(np.bincount(bins, trial.y, 2 * size).reshape(size, 2).T)
+        bins = self.target.astype(np.intp)
+        self.target_counts = _frozen(np.bincount(bins, minlength=size))
+        self.target_y0 = None if target.y0 is None else _frozen(np.bincount(bins, target.y0, size))
         self.present = _frozen(np.flatnonzero(self.target_counts))
 
     def target_tuples(self, codes: np.ndarray) -> list[tuple]:
@@ -456,10 +457,12 @@ class _Cells:
         return self.arm_total[:, self.present] / count
 
 
-def _pair_memo(trial: TrialSample, target: TargetSample) -> dict:
-    """The memo of the ``(trial, target)`` pair: what the estimators
-    compute from the two samples and a covariate tuple, kept so that each
-    is computed once per pair.
+def _once_per_pair(compute):
+    """``compute(trial, target, covariates, *rest)`` read through the memo
+    of the ``(trial, target)`` pair, keyed by its name, the covariate tuple
+    and ``rest``, so that each is computed once per pair. A call that
+    raises stores nothing. Results are shared, so they must not be
+    modified.
 
     The trial holds the memo of the last target it met, so the memo dies
     with the samples. Samples never change after construction, so an
@@ -467,20 +470,12 @@ def _pair_memo(trial: TrialSample, target: TargetSample) -> dict:
     one value, so threads that share a trial never write into another
     target's memo; each replication of a study has samples of its own.
     """
-    memo = trial._memo
-    if memo is None or memo[0] is not target:
-        memo = trial._memo = (target, {})
-    return memo[1]
-
-
-def _once_per_pair(compute):
-    """``compute(trial, target, covariates, *rest)`` read through the
-    pair's memo, keyed by its name, the covariate tuple and ``rest``. A
-    call that raises stores nothing. Results are shared, so they must not
-    be modified."""
 
     def memoized(trial: TrialSample, target: TargetSample, covariates: Sequence[str], *rest):
-        entries = _pair_memo(trial, target)
+        memo = trial._memo
+        if memo is None or memo[0] is not target:
+            memo = trial._memo = (target, {})
+        entries = memo[1]
         key = (compute.__name__, tuple(covariates), *rest)
         if key not in entries:
             entries[key] = compute(trial, target, key[1], *rest)
@@ -488,15 +483,6 @@ def _once_per_pair(compute):
 
     memoized.__doc__ = compute.__doc__
     return memoized
-
-
-@_once_per_pair
-def _coded_column(trial: TrialSample, target: TargetSample, covariates: tuple[str]):
-    """:func:`_code_column` of the one covariate in ``covariates``, which
-    the memo keeps while the samples live."""
-    (i,), (j,) = trial.column_indices(covariates), target.column_indices(covariates)
-    levels, inverse = _code_column(trial.columns[i], target.columns[j])
-    return levels, _frozen(inverse)
 
 
 _cells = _once_per_pair(_Cells)

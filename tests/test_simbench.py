@@ -1,3 +1,4 @@
+import collections
 import gc
 import math
 import statistics
@@ -60,6 +61,23 @@ class TestGroundTruth:
         assert ground_truth(continuous, MeasureKind.RR) == pytest.approx(
             3.498325519089082, rel=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "population, rd, rr, err",
+        [
+            ("target", "37.3", "3.498325519089082", "2.498325519089082"),
+            ("source", "19.8", "2.8165137614678897", "1.8165137614678897"),
+        ],
+    )
+    def test_continuous_truths_are_pinned_bit_for_bit(self, continuous, population, rd, rr, err):
+        """The kernel's measures of (E[b], E[b] + E[m]), by repr: a move of
+        one ulp in how the truths are formed shows here."""
+        pinned = {MeasureKind.RD: rd, MeasureKind.RR: rr, MeasureKind.ERR: err}
+        for measure, value in pinned.items():
+            assert repr(ground_truth(continuous, measure, population)) == value
+        for measure in (MeasureKind.SR, MeasureKind.OR):
+            with pytest.raises(UndefinedMeasure):
+                ground_truth(continuous, measure, population)
 
     def test_continuous_rejects_binary_only_measures(self, continuous):
         with pytest.raises(UndefinedMeasure):
@@ -179,7 +197,7 @@ class TestDeterminism:
         for tag in ("a", "b"):
             report = run_scenario(roulette, seed=17, reps=3, n=400, m=600, config=config)
             path = tmp_path / f"report_{tag}.csv"
-            write_report_csv(report, config, path)
+            write_report_csv(report, path)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -207,7 +225,7 @@ class TestAggregation:
         config = default_config(roulette)
         report = run_scenario(roulette, seed=17, reps=2, n=400, m=600, config=config)
         path = tmp_path / "report.csv"
-        write_report_csv(report, config, path)
+        write_report_csv(report, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "scenario,rep,measure,strategy,covariate_set,estimate,ground_truth"
         assert len(lines) == 1 + 2 * len(config)
@@ -226,7 +244,7 @@ class TestAggregation:
         report = run_scenario(roulette, seed=0, reps=4, n=12, m=30, config=config)
         assert any(0 < s.n_failed < report.reps for s in report.summaries)
         path = tmp_path / "report.csv"
-        write_report_csv(report, config, path)
+        write_report_csv(report, path)
         written = {
             (int(row[1]), *row[2:5]): row[5]
             for row in (line.split(",") for line in path.read_text().splitlines()[1:])
@@ -304,8 +322,9 @@ class TestPairMemoLifetime:
 
 
 def test_a_replication_codes_each_column_once(monkeypatch):
-    """The roulette configuration uses ``stress`` and ``lifestyle,stress``:
-    two columns, each coded once for all seven estimates."""
+    """Each cell table codes its own columns: the roulette configuration's
+    two tables, ``stress`` and ``lifestyle,stress``, make three codings
+    for all seven estimates, one per column of each covariate set."""
     from effectmeasures import simbench, transport
 
     roulette = builtin_scenario("roulette-heterogeneous")
@@ -316,7 +335,24 @@ def test_a_replication_codes_each_column_once(monkeypatch):
     )
     result = simbench._run_one(roulette, 3, 0, 400, 600, default_config(roulette))
     assert len(result.estimates) == len(default_config(roulette))
-    assert len(coded) == 2
+    assert len(coded) == 3
+
+
+def test_a_pair_memo_holds_cell_tables_and_gformula_means_only():
+    """After the seven roulette estimates on one pair, the memo holds the
+    two cell tables and the two g-formula mean pairs, and nothing else."""
+    from effectmeasures import simbench
+
+    roulette = builtin_scenario("roulette-heterogeneous")
+    rng = simbench._rep_rng(3, 0)
+    trial, target = roulette.sample_trial(rng, 400), roulette.sample_target(rng, 600)
+    for entry in default_config(roulette):
+        simbench.estimator(entry.strategy, roulette.learner)(
+            trial, target, entry.measure, entry.covariates, roulette.learner
+        )
+    assert trial._memo[0] is target
+    kinds = collections.Counter(key[0] for key in trial._memo[1])
+    assert kinds == {"_Cells": 2, "_gformula_means": 2}
 
 
 def test_a_replication_builds_one_cell_table_per_covariate_set(monkeypatch):
