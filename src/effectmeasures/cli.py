@@ -12,6 +12,14 @@ undefined measure, missing control outcomes), 4 support violation.
 The parser needs only :mod:`effectmeasures.vocab`, so ``--help`` and
 argument errors never load NumPy: each handler imports the modules it
 runs and calls them as module attributes (``dataio.load_trial``).
+
+``--workers`` is the only source of compute threads: before a handler
+loads NumPy, :func:`main` sets ``OMP_NUM_THREADS=1`` unless the caller set
+it, so BLAS runs on one thread. No operand here is large enough to share
+(least-squares designs of at most 7 columns), and an idle OpenBLAS worker
+busy-waits beside the study. ``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS`` and ``MKL_NUM_THREADS`` are read before
+``OMP_NUM_THREADS``, so a caller's own count still wins.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import argparse
 import enum
 import json
 import math
+import os
 import sys
 
 from .errors import EffectMeasureError, NonCollapsible, SupportViolation
@@ -316,6 +325,10 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
+    if "numpy" not in sys.modules:
+        # BLAS reads its thread count once, as NumPy loads; set later, the
+        # variable would only leak into a library caller's environment
+        os.environ.setdefault("OMP_NUM_THREADS", "1")
     try:
         return args.run(args)
     except EffectMeasureError as exc:

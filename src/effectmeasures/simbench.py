@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -169,11 +169,21 @@ class Scenario:
         measure kernel, undefined ones in-band."""
         raise NotImplementedError
 
+    def ground_truths(
+        self, measures: Sequence[MeasureKind], population: str = "target"
+    ) -> list[float]:
+        """The truth of each of ``measures``, from one reading of the
+        population's truths; a measure without one raises
+        ``UndefinedMeasure``."""
+        truths = self.truths(population)
+        values = {e.measure: e.value for e in truths if isinstance(e, MeasureValue)}
+        for measure in measures:
+            if measure not in values:
+                raise UndefinedMeasure(f"{measure.value} has no ground truth for this scenario")
+        return [values[measure] for measure in measures]
+
     def ground_truth(self, measure: MeasureKind, population: str = "target") -> float:
-        for entry in self.truths(population):
-            if entry.measure is measure and isinstance(entry, MeasureValue):
-                return entry.value
-        raise UndefinedMeasure(f"{measure.value} has no ground truth for this scenario")
+        return self.ground_truths((measure,), population)[0]
 
 
 class _ContinuousLinear(Scenario):
@@ -369,6 +379,12 @@ def _run_one(
     return ReplicationResult(rep_index, estimates, failures)
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _quantile(sorted_values: list[float], q: float) -> float:
     # linear interpolation between closest ranks (same as numpy default)
     if not sorted_values:
@@ -393,7 +409,8 @@ def run_scenario(
 
     Deterministic in (scenario, seed, reps, config, n, m) regardless of
     ``workers``: each replication owns a counter-based stream keyed by
-    (seed, rep_index), and results are aggregated in rep order.
+    (seed, rep_index), and results are aggregated in rep order. At most
+    ``min(workers, reps, usable CPUs)`` threads run the replications.
     """
     reps = scenario.default_reps if reps is None else reps
     n = scenario.default_n if n is None else n
@@ -405,10 +422,14 @@ def run_scenario(
     if seed < 0:
         raise InvariantViolation(f"seed must be >= 0, got {seed}")
     _validate_config(scenario, config)
+    truths = scenario.ground_truths([entry.measure for entry in config])
 
-    # one worker runs here: a one-thread pool raised peak RSS 0.3-1.4 MB (its own malloc arena)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    # one thread runs here: a one-thread pool raised peak RSS 0.3-1.4 MB (its own malloc arena)
+    threads = min(workers, reps, _usable_cpus())
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(
                 pool.map(lambda r: _run_one(scenario, seed, r, n, m, config), range(reps))
             )
@@ -416,7 +437,7 @@ def run_scenario(
         results = [_run_one(scenario, seed, r, n, m, config) for r in range(reps)]
 
     summaries = []
-    for entry in config:
+    for entry, truth in zip(config, truths):
         values = sorted(
             r.estimates[entry.key] for r in results if entry.key in r.estimates
         )
@@ -430,7 +451,7 @@ def run_scenario(
         summaries.append(
             ConfigSummary(
                 config=entry,
-                ground_truth=scenario.ground_truth(entry.measure),
+                ground_truth=truth,
                 median=_quantile(values, 0.5),
                 q1=_quantile(values, 0.25),
                 q3=_quantile(values, 0.75),

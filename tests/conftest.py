@@ -11,6 +11,32 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture
+def recorded_pools(monkeypatch):
+    """Replace ``concurrent.futures.ThreadPoolExecutor`` with a stub that
+    records each pool's ``max_workers`` and maps in the calling thread, so
+    a test sees a study's pool sizes without starting a thread."""
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    return sizes
+
+
+@pytest.fixture
 def protective_table():
     """Two-stratum protective-treatment table: risks 0.2->0.12 (53%) and
     0.015->0.009 (47%)."""

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES
-from effectmeasures import cli, dataio, errors
+from effectmeasures import cli, dataio, errors, simbench
 from effectmeasures.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -829,6 +829,21 @@ class TestSimulate:
         assert all(s["sd"] is None for s in summaries)
         assert all(isinstance(s["median"], float) for s in summaries)
 
+    def test_workers_beyond_the_replications_start_no_more_threads(
+        self, capsys, recorded_pools, tmp_path
+    ):
+        code, _, _ = run(
+            capsys,
+            [
+                "simulate", "--scenario", "roulette-heterogeneous", "--reps", "3",
+                "--n", "200", "--m", "200", "--workers", "1000000",
+                "--out", str(tmp_path / "r.csv"),
+            ],
+        )
+        assert code == EXIT_OK
+        cpus = simbench._usable_cpus()
+        assert recorded_pools == ([min(3, cpus)] if cpus > 1 else [])
+
     def test_unknown_scenario(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -1054,3 +1069,47 @@ class TestStartUp:
         assert codes == [EXIT_OK]
         assert "effectmeasures.simbench" in modules
         assert "effectmeasures.dataio" not in modules
+
+
+_BLAS_THREAD_VARIABLES = (
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS",
+)
+
+_THREADS_PROBE = """
+import os, sys
+from effectmeasures.cli import main
+assert main(sys.argv[1:]) == 0
+print(len(os.listdir("/proc/self/task")))
+"""
+
+
+class TestThreadPolicy:
+    """``main`` runs BLAS on one thread unless the caller set a thread
+    count, and touches the environment only before NumPy loads."""
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/task") or simbench._usable_cpus() < 2,
+        reason="OpenBLAS starts no worker thread on one CPU; threads are counted in /proc",
+    )
+    @pytest.mark.parametrize(
+        "caller, threads",
+        [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2), ({"OMP_NUM_THREADS": "2"}, 2)],
+        ids=["unset", "openblas-2", "omp-2"],
+    )
+    def test_threads_after_a_command(self, tmp_path, caller, threads):
+        env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARIABLES}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _THREADS_PROBE, "grid", "--resolution", "3", "--out", "g.csv"],
+            cwd=tmp_path, env={**env, **caller}, capture_output=True, text=True, check=True,
+        )
+        assert int(done.stdout.splitlines()[-1]) == threads
+
+    def test_environment_untouched_once_numpy_is_loaded(self, capsys, monkeypatch, tmp_path):
+        for name in _BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        assert "numpy" in sys.modules
+        before = dict(os.environ)
+        assert main(["grid", "--resolution", "3", "--out", str(tmp_path / "g.csv")]) == EXIT_OK
+        assert dict(os.environ) == before

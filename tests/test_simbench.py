@@ -372,3 +372,67 @@ def test_a_replication_builds_one_cell_table_per_covariate_set(monkeypatch):
     result = simbench._run_one(roulette, 3, 0, 400, 600, default_config(roulette))
     assert len(result.estimates) == len(default_config(roulette)) == 7
     assert sorted(built) == [("lifestyle", "stress"), ("stress",)]
+
+
+def test_a_study_reads_its_truths_once(monkeypatch):
+    """The roulette study's seven configurations take their truths from one
+    evaluation of the population's measures, with the values unchanged."""
+    from effectmeasures import simbench
+
+    roulette = builtin_scenario("roulette-heterogeneous")
+    calls = []
+    measures = simbench.population_measures_binary
+    monkeypatch.setattr(
+        simbench, "population_measures_binary", lambda *args: calls.append(args) or measures(*args)
+    )
+    report = run_scenario(roulette, seed=17, reps=2, n=400, m=600)
+    assert len(calls) == 1
+    sr, rd, rr, odds = (
+        "0.8466437833714722", "0.13403333333333334", "2.0637566137566137", "2.4375736930806977"
+    )
+    assert [repr(s.ground_truth) for s in report.summaries] == [sr, rd, rd, sr, rd, rr, odds]
+
+
+def test_a_configuration_without_a_truth_is_refused(continuous):
+    config = (EstimatorConfig(MeasureKind.SR, "gformula", ("X1",)),)
+    with pytest.raises(UndefinedMeasure, match="^sr has no ground truth for this scenario$"):
+        run_scenario(continuous, seed=1, reps=1, n=50, m=50, config=config)
+
+
+class TestThreadPool:
+    """A study's pool holds at most min(workers, reps, usable CPUs)
+    threads, and one thread runs in process. No test here starts a
+    thread: the pool is ``recorded_pools``' stub."""
+
+    @pytest.mark.parametrize(
+        "cpus, workers, reps, sizes",
+        [
+            (64, 1_000_000, 3, [3]),
+            (2, 1_000_000, 3, [2]),
+            (64, 2, 3, [2]),
+            (1, 8, 3, []),
+            (64, 8, 1, []),
+            (64, 1, 3, []),
+        ],
+    )
+    def test_pool_size(self, monkeypatch, recorded_pools, roulette, cpus, workers, reps, sizes):
+        from effectmeasures import simbench
+
+        monkeypatch.setattr(simbench, "_usable_cpus", lambda: cpus)
+        kwargs = dict(seed=17, reps=reps, n=400, m=600)
+        report = run_scenario(roulette, workers=workers, **kwargs)
+        assert recorded_pools == sizes
+        assert report == run_scenario(roulette, **kwargs)
+
+    def test_usable_cpus(self, monkeypatch):
+        import os
+
+        from effectmeasures import simbench
+
+        if hasattr(os, "sched_getaffinity"):
+            assert simbench._usable_cpus() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert simbench._usable_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert simbench._usable_cpus() == 1
