@@ -250,8 +250,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_grid(args) -> int:
     from . import dataio
     dataio.emit_grid(args.resolution, args.out)
-    if not args.json:
-        print(f"wrote {args.resolution * args.resolution} rows to {args.out}")
+    rows = args.resolution * args.resolution
+    if args.json:
+        print(json.dumps({"rows": rows, "out": args.out}))
+    else:
+        print(f"wrote {rows} rows to {args.out}")
     return EXIT_OK
 
 

@@ -216,17 +216,6 @@ def population_measures(
     return all_measures(pooled_pair(model, space, population))
 
 
-def _entanglement_moments(
-    model: EntanglementModel, space: DiscreteCovariateSpace, population: str
-) -> tuple[float, float, float]:
-    """(E[b], E[(1-b)*m_b], E[b*m_g]), the moments of the paper's closed
-    forms for the marginal measures of the entanglement model."""
-    e_b = space.expectation(population, lambda c: model.b[c])
-    gain = space.expectation(population, lambda c: (1.0 - model.b[c]) * model.m_b[c])
-    loss = space.expectation(population, lambda c: model.b[c] * model.m_g[c])
-    return e_b, gain, loss
-
-
 def _check_direction(
     model: EntanglementModel, direction: MonotonicityDirection
 ) -> None:
@@ -249,13 +238,15 @@ def monotone_ratio(
     RR = 1 - E[b*m_g]/E[b] when beneficial, SR = 1 - E[(1-b)*m_b]/E[1-b]
     when harmful."""
     _check_direction(model, direction)
-    e_b, gain, loss = _entanglement_moments(model, space, population)
+    e_b = space.expectation(population, lambda c: model.b[c])
     if direction is MonotonicityDirection.BENEFICIAL:
         if e_b == 0.0:
             raise UndefinedMeasure("RR needs a nonzero marginal control probability")
+        loss = space.expectation(population, lambda c: model.b[c] * model.m_g[c])
         return MeasureValue(MeasureKind.RR, 1.0 - loss / e_b, 1.0)
     if e_b == 1.0:
         raise UndefinedMeasure("SR needs marginal control probability != 1")
+    gain = space.expectation(population, lambda c: (1.0 - model.b[c]) * model.m_b[c])
     return MeasureValue(MeasureKind.SR, 1.0 - gain / (1.0 - e_b), 1.0)
 
 

@@ -54,7 +54,6 @@ __all__ = [
     "ground_truth",
     "run_scenario",
     "default_config",
-    "report_rows",
     "write_report_csv",
 ]
 
@@ -181,9 +180,6 @@ class Scenario:
             if measure not in values:
                 raise UndefinedMeasure(f"{measure.value} has no ground truth for this scenario")
         return [values[measure] for measure in measures]
-
-    def ground_truth(self, measure: MeasureKind, population: str = "target") -> float:
-        return self.ground_truths((measure,), population)[0]
 
 
 class _ContinuousLinear(Scenario):
@@ -328,7 +324,7 @@ def builtin_scenario(name: str) -> Scenario:
 
 
 def ground_truth(scenario: Scenario, measure: MeasureKind, population: str = "target") -> float:
-    return scenario.ground_truth(measure, population)
+    return scenario.ground_truths((measure,), population)[0]
 
 
 def default_config(scenario: Scenario) -> tuple[EstimatorConfig, ...]:
@@ -464,27 +460,18 @@ def run_scenario(
     return AggregateReport(scenario.name, seed, reps, tuple(results), tuple(summaries))
 
 
-def report_rows(report: AggregateReport):
-    """Long-format rows: one per (replication, estimator configuration of
-    the report's summaries)."""
-    for result in report.results:
-        for summary in report.summaries:
-            entry = summary.config
-            est = result.estimates.get(entry.key)
-            yield (
-                report.scenario,
-                result.rep_index,
-                entry.measure.value,
-                entry.strategy,
-                "+".join(entry.covariates),
-                "NA" if est is None else repr(est),
-                repr(summary.ground_truth),
-            )
-
-
 def write_report_csv(report: AggregateReport, path) -> None:
-    """Plot-ready long-format CSV; floats in shortest-roundtrip form."""
+    """Plot-ready long-format CSV, one row per (replication, estimator
+    configuration of the report's summaries); floats in shortest-roundtrip form."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("scenario,rep,measure,strategy,covariate_set,estimate,ground_truth\n")
-        for row in report_rows(report):
-            fh.write(",".join(str(v) for v in row) + "\n")
+        for result in report.results:
+            for summary in report.summaries:
+                entry = summary.config
+                est = result.estimates.get(entry.key)
+                row = (
+                    report.scenario, result.rep_index, entry.measure.value, entry.strategy,
+                    "+".join(entry.covariates), "NA" if est is None else repr(est),
+                    repr(summary.ground_truth),
+                )
+                fh.write(",".join(str(v) for v in row) + "\n")

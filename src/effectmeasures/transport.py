@@ -257,9 +257,6 @@ class _Sample:
                 )
         return tuple(map(self.covariates.index, covariates))
 
-    def _arrays(self) -> tuple:
-        return self.columns
-
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -443,8 +440,6 @@ class _Cells:
         in each cell."""
         present, first = np.unique(self.target, return_index=True)
         rows = first[np.searchsorted(present, codes)]
-        if not self.target_columns:
-            return [()] * len(rows)
         return list(zip(*(column[rows].tolist() for column in self.target_columns)))
 
     def arm_means(self) -> np.ndarray:
@@ -576,18 +571,18 @@ def _gformula_means(trial: TrialSample, target: TargetSample, covariates, learne
             return _repeated_fsum(mu0, counts) / target.n, _repeated_fsum(mu1, counts) / target.n
         except OverflowError as exc:  # finite means whose sum over the target overflows
             raise UndefinedMeasure(f"estimated pair out of range: {exc}") from None
-    source = [trial.columns[i] for i in trial.column_indices(covariates)]
-    target_columns = [target.columns[i] for i in target.column_indices(covariates)]
-    for name, s_column, t_column in zip(covariates, source, target_columns):
+    samples = (trial, target)
+    selected = [[s.columns[i] for i in s.column_indices(covariates)] for s in samples]
+    for name, s_column, t_column in zip(covariates, *selected):
         if object in (s_column.dtype, t_column.dtype):
             raise InvariantViolation(f"least squares needs numeric covariates; {name!r} is not")
-    # a C-contiguous design keeps the BLAS product, and so the mean, bit-stable
-    tgt = np.column_stack([np.ones(target.n)] + target_columns).astype(float)
+    # one float [1, x] design per sample; a C-contiguous one keeps the BLAS
+    # product, and so the mean, bit-stable
+    src, tgt = (np.column_stack([np.ones(s.n), *columns]) for s, columns in zip(samples, selected))
     coefs = []
     for arm in (0, 1):
         rows = trial.a == arm
-        x_rows = stack_columns([column[rows] for column in source], int(rows.sum()))
-        coefs.append(least_squares_fit(x_rows, trial.y[rows]))
+        coefs.append(least_squares_fit(src[rows, 1:], trial.y[rows]))
     with np.errstate(over="ignore"):  # _estimate refuses a mean that overflows
         return float((tgt @ coefs[0]).mean()), float((tgt @ coefs[1]).mean())
 

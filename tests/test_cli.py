@@ -885,6 +885,16 @@ class TestGrid:
         assert code == EXIT_VALIDATION
         assert "InvariantViolation" in err
 
+    def test_json_prints_one_strict_object(self, capsys, tmp_path):
+        out_path = tmp_path / "grid.csv"
+        code, out, _ = run(
+            capsys, ["grid", "--resolution", "4", "--out", str(out_path), "--json"]
+        )
+        assert code == EXIT_OK
+        record = json.loads(out, parse_constant=_reject_constant)
+        assert record == {"rows": 16, "out": str(out_path)}
+        assert len(out_path.read_text().splitlines()) == 17
+
 
 _ROLE_ARGS = ["--measure", "sr", "--outcome", "binary", "--strategy", "local", "--json"]
 _BOUNDARY_INPUTS = {
@@ -1113,3 +1123,30 @@ class TestThreadPolicy:
         before = dict(os.environ)
         assert main(["grid", "--resolution", "3", "--out", str(tmp_path / "g.csv")]) == EXIT_OK
         assert dict(os.environ) == before
+
+
+class TestUnreachedRefusals:
+    def test_an_empty_covariate_list(self, capsys, toy_files):
+        trial, target = toy_files
+        code, out, err = run(
+            capsys,
+            ["transport", "--trial", trial, "--target", target, "--measure", "rd",
+             "--strategy", "gformula", "--covariates", ","],
+        )
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "covariate list must be non-empty" in err
+
+    def test_a_trial_header_that_is_not_utf8(self, capsys, tmp_path):
+        trial, target = tmp_path / "trial.csv", tmp_path / "target.csv"
+        trial.write_bytes(b"x\xff,a,y\n0,0,1\n0,1,0\n")
+        target.write_bytes(b"x\n0\n")
+        code, out, err = run(
+            capsys,
+            ["transport", "--trial", str(trial), "--target", str(target), "--measure", "rd",
+             "--strategy", "gformula", "--covariates", "x"],
+        )
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.splitlines()[-1].startswith(f"ParseError: {trial}: not UTF-8 text")
+        assert "Traceback" not in err

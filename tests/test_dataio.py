@@ -758,3 +758,17 @@ class TestPythonDigitForms:
         trial = dataio.load_trial(path)
         assert trial.x.tolist() == [[1, "café"], [2, "u_v"]]
         assert trial.y.tolist() == [1.5, 0.0]
+
+
+class TestUnwritableAndUnreadable:
+    def test_a_bool_covariate_cannot_be_saved(self, tmp_path):
+        trial = TrialSample(("flag",), ((True,), (False,)), (0, 1), (0.0, 1.0))
+        with pytest.raises(InvariantViolation, match="boolean covariate values"):
+            dataio.save_trial(trial, tmp_path / "trial.csv")
+
+    def test_a_header_that_is_not_utf8_falls_to_the_column_parser(self, tmp_path):
+        path = tmp_path / "trial.csv"
+        path.write_bytes(b"x\xff,a,y\n0,0,1\n0,1,0\n")
+        assert dataio._typed_header(path) is None
+        with pytest.raises(ParseError, match="not UTF-8 text"):
+            dataio.load_trial(path)

@@ -26,6 +26,7 @@ from effectmeasures.genmodel import (
     expit,
     identify_modulation,
     local_ratio,
+    logit,
     logit_conditional_logor,
     monotone_ratio,
     pooled_pair,
@@ -504,3 +505,37 @@ class TestModelValidation:
     def test_cell_arity_checked(self):
         with pytest.raises(InvariantViolation):
             DiscreteCovariateSpace(("x", "y"), ((0,),), {"pop": (1.0,)})
+
+
+class TestRefusals:
+    def test_duplicate_cells(self):
+        with pytest.raises(InvariantViolation, match="cells must be distinct"):
+            DiscreteCovariateSpace(("x",), ((0,), (0,)), {"pop": (0.5, 0.5)})
+
+    def test_a_cell_of_the_wrong_arity(self):
+        with pytest.raises(InvariantViolation, match="arity differs"):
+            DiscreteCovariateSpace(("x",), ((0, 1),), {"pop": (1.0,)})
+
+    def test_an_unknown_population(self):
+        space = one_cell_space()
+        with pytest.raises(UnknownCell, match="unknown population 'other'"):
+            space.probabilities("other")
+        with pytest.raises(UnknownCell):
+            space.expectation("other", lambda cell: 1.0)
+
+    def test_a_negative_noise_sd(self):
+        with pytest.raises(InvariantViolation, match="noise_sd must be >= 0"):
+            ContinuousOutcomeModel({(0,): 0.0}, {(0,): 0.0}, noise_sd=-1.0)
+
+    def test_potential_mean_of_arm_two(self):
+        with pytest.raises(InvariantViolation, match="treatment arm must be 0 or 1"):
+            potential_mean(roulette_model(0.1), 2, (0,))
+
+    @pytest.mark.parametrize("p0", [0.0, 1.0, -0.5, math.nan])
+    def test_identify_modulation_with_p0_outside_the_unit_interval(self, p0):
+        with pytest.raises(UndefinedMeasure, match="p0 must lie in"):
+            identify_modulation(p0, 0.5, BENEFICIAL)
+
+    def test_logit_of_zero(self):
+        with pytest.raises(UndefinedMeasure, match="logit needs p in"):
+            logit(0.0)

@@ -287,3 +287,24 @@ class TestValidation:
                 OutcomeKind.BINARY,
             )
         assert str(excinfo.value) == "stratum 'b' has kind continuous, distribution is binary"
+
+
+class TestCountRefusals:
+    @pytest.mark.parametrize("counts", [((1.5, 2), (1, 1)), ((1, 2), (-1, 1))])
+    def test_counts_must_be_nonnegative_integers(self, counts):
+        with pytest.raises(InvariantViolation, match="counts must be nonnegative integers"):
+            Stratum.from_counts("s", 1.0, counts)
+
+    def test_a_pair_that_contradicts_its_counts(self):
+        # the treated risk matches, the control risk does not
+        with pytest.raises(InvariantViolation, match="does not match counts-derived"):
+            Stratum("s", 1.0, OutcomePair(0.25, 0.6, OutcomeKind.BINARY), ((60, 40), (20, 80)))
+
+    @pytest.mark.parametrize("proportion", [0.0, 1.5])
+    def test_a_proportion_outside_zero_to_one(self, proportion):
+        with pytest.raises(InvariantViolation, match="proportion must lie in"):
+            Stratum("s", proportion, OutcomePair(0.2, 0.1, OutcomeKind.BINARY))
+
+    def test_a_distribution_without_strata(self):
+        with pytest.raises(InvariantViolation, match="at least one stratum"):
+            StratifiedDistribution((), OutcomeKind.BINARY)

@@ -1029,3 +1029,50 @@ def test_least_squares_estimates_are_pinned_bit_for_bit():
     """Every estimate and error text of the least-squares g-formula and
     local estimators on seeded continuous samples, by digest."""
     assert _least_squares_digest() == "175d709203a35c1002d0a9d8f2551d05189e2622f0b5b37a24c199f8a69b751c"
+
+
+class TestConstructorRefusals:
+    """Each sample and role constructor refuses malformed input with
+    ``InvariantViolation``."""
+
+    def test_a_row_tuple_of_the_wrong_arity(self):
+        with pytest.raises(InvariantViolation, match="row arity differs"):
+            TrialSample(("x", "z"), ((0, 1), (1,)), (0, 1), (0.0, 1.0))
+
+    def test_a_2d_array_of_the_wrong_arity(self):
+        with pytest.raises(InvariantViolation, match="row arity differs"):
+            TargetSample(("x",), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("a, y", [((0, 1, 0), (0.0, 1.0)), ((0, 1), (0.0, 1.0, 0.5))])
+    def test_x_a_and_y_of_unequal_length(self, a, y):
+        with pytest.raises(InvariantViolation, match="x, a, y must have equal length"):
+            TrialSample(("x",), ((0,), (1,)), a, y)
+
+    def test_y0_of_the_wrong_length(self):
+        with pytest.raises(InvariantViolation, match="y0 must cover every row"):
+            TargetSample(("x",), ((0,), (1,)), (0.0,))
+
+    def test_duplicate_names_in_covariate_roles(self):
+        with pytest.raises(InvariantViolation, match="duplicate covariate names"):
+            transport.CovariateRoles(("x", "x"), frozenset(), frozenset(), frozenset())
+
+
+def test_a_column_of_mixed_numbers_and_strings_is_coded_in_first_seen_order():
+    """Levels that do not compare are coded in first-seen order, and the
+    estimates equal those of the same column written as strings."""
+    trial_values, target_values = ["u", 1, 1, "u", 1, "u", "u", 1], [1, "u", 1]
+    a, y = (0, 0, 1, 1, 0, 1, 0, 1), (1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0)
+
+    def samples(write):
+        return (
+            TrialSample(("c",), [(write(v),) for v in trial_values], a, y),
+            TargetSample(("c",), [(write(v),) for v in target_values], (0.0, 1.0, 1.0)),
+        )
+
+    mixed, text = samples(lambda v: v), samples(str)
+    assert mixed[0].columns[0].dtype == object
+    levels, codes = _code_column(mixed[0].columns[0], mixed[1].columns[0])
+    assert levels == 2 and codes.tolist() == [0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1]
+    for fn in (gformula_conditional, generalize_local):
+        for measure in (MeasureKind.RD, MeasureKind.RR, MeasureKind.SR):
+            assert fn(*mixed, measure, ("c",)) == fn(*text, measure, ("c",))
