@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands: ``measures``, ``collapse``, ``plan``, ``transport``,
-``simulate``, ``grid``. Human-readable tables by default; ``--json``
-switches stdout to JSON. Diagnostics go to stderr.
+``simulate``, ``grid``. Each prints human-readable text unless
+``--json`` is given, except ``plan`` and ``transport``: they print one
+JSON record either way, indented by ``plan`` unless ``--json`` is given.
+Diagnostics go to stderr.
 
 Exit codes: 0 success, 5 I/O failure, and for a library error the
 ``exit_code`` its class declares (see :mod:`effectmeasures.errors`):
@@ -71,43 +73,30 @@ def _covariate_list(text: str) -> tuple[str, ...]:
     return names
 
 
-def _nnt_tag(value: float) -> str:
-    # Events are coded as harms: a negative signed NNT means treatment
-    # prevents events.
-    return "benefit" if value < 0 else "harm"
-
-
-def _print_measure_rows(entries, as_json: bool) -> None:
-    from .measures import MeasureValue
-    if as_json:
-        payload = []
-        for entry in entries:
-            if isinstance(entry, MeasureValue):
-                rec = {"measure": entry.measure.value, "value": entry.value}
-                if entry.measure is MeasureKind.NNT:
-                    rec["magnitude"] = abs(entry.value)
-                    rec["tag"] = _nnt_tag(entry.value)
-                payload.append(rec)
-            else:
-                payload.append({"measure": entry.measure.value, "undefined": entry.reason})
-        print(json.dumps(payload))
-        return
-    for entry in entries:
-        if isinstance(entry, MeasureValue):
-            if entry.measure is MeasureKind.NNT:
-                print(f"{entry.measure.value:<8}{abs(entry.value):.3f} ({_nnt_tag(entry.value)})")
-            else:
-                print(f"{entry.measure.value:<8}{entry.value:.3f}")
-        else:
-            print(f"{entry.measure.value:<8}undefined: {entry.reason}")
-
-
 def _cmd_measures(args) -> int:
     from . import measures
     pair = measures.OutcomePair(args.mu0, args.mu1, args.kind)
     if args.swap_labels:
         pair = measures.swap_labels(pair)
-    _print_measure_rows(measures.all_measures(pair), args.json)
+    records, lines = [], []
+    for entry in measures.all_measures(pair):
+        name = entry.measure.value
+        if not isinstance(entry, measures.MeasureValue):
+            records.append({"measure": name, "undefined": entry.reason})
+            lines.append(f"{name:<8}undefined: {entry.reason}")
+        elif entry.measure is MeasureKind.NNT:
+            # Events are coded as harms: a negative signed NNT means
+            # treatment prevents events.
+            tag = "benefit" if entry.value < 0 else "harm"
+            magnitude = abs(entry.value)
+            records.append(
+                {"measure": name, "value": entry.value, "magnitude": magnitude, "tag": tag}
+            )
+            lines.append(f"{name:<8}{magnitude:.3f} ({tag})")
+        else:
+            records.append({"measure": name, "value": entry.value})
+            lines.append(f"{name:<8}{entry.value:.3f}")
+    print(json.dumps(records) if args.json else "\n".join(lines))
     return EXIT_OK
 
 
@@ -116,11 +105,10 @@ def _cmd_collapse(args) -> int:
     dist = dataio.load_strata(args.strata)
     measure = args.measure
     evaluated = strata.StratifiedMeasure(measure, dist)
+    record = {"measure": measure.value}
     try:
         weights = evaluated.weights()
     except NonCollapsible:
-        weights = None
-    if weights is None:
         signed = evaluated.naive_average()
         magnitude = math.fsum(
             s.proportion * abs(v) for s, v in zip(dist.strata, evaluated.values)
@@ -135,38 +123,30 @@ def _cmd_collapse(args) -> int:
             f"(magnitudes: {magnitude:.4g}) is NOT the population value.",
             file=sys.stderr,
         )
-        record = {
-            "measure": measure.value,
-            "collapsible": False,
-            "marginal": evaluated.marginal.value,
-            "naive_average": signed,
-            "naive_magnitude_average": magnitude,
-        }
+        marginal = evaluated.marginal.value
+        record.update(
+            collapsible=False, marginal=marginal, naive_average=signed,
+            naive_magnitude_average=magnitude,
+        )
+        lines = [
+            f"marginal  {marginal:.6g}",
+            f"naive     {signed:.6g} (magnitudes: {magnitude:.6g})",
+        ]
+        status = EXIT_SEMANTICS
     else:
-        collapsed = evaluated.collapse()
-        record = {
-            "measure": measure.value,
-            "weights": {s.label: w for s, w in zip(dist.strata, weights.weights)},
-            "collapsed": collapsed.value,
-            "marginal": evaluated.marginal.value,
-        }
+        record["weights"] = {s.label: w for s, w in zip(dist.strata, weights.weights)}
+        record["collapsed"] = evaluated.collapse().value
+        record["marginal"] = evaluated.marginal.value
+        lines = [f"weight {label:<16}{w:.6f}" for label, w in record["weights"].items()]
+        lines += [f"collapsed {record['collapsed']:.6g}", f"marginal  {record['marginal']:.6g}"]
+        status = EXIT_OK
     if args.check_logic:
         report = evaluated.logic()
         record["logic_respecting"] = report.respected
         record["stratum_range"] = [report.low, report.high]
-    if args.json:
-        print(json.dumps(record))
-    elif weights is None:
-        print(f"marginal  {record['marginal']:.6g}")
-        print(f"naive     {signed:.6g} (magnitudes: {magnitude:.6g})")
-    else:
-        for label, w in record["weights"].items():
-            print(f"weight {label:<16}{w:.6f}")
-        print(f"collapsed {record['collapsed']:.6g}")
-        print(f"marginal  {record['marginal']:.6g}")
-    if args.check_logic and not args.json:
-        print(f"logic_respecting: {str(record['logic_respecting']).lower()}")
-    return EXIT_SEMANTICS if weights is None else EXIT_OK
+        lines.append(f"logic_respecting: {str(report.respected).lower()}")
+    print(json.dumps(record) if args.json else "\n".join(lines))
+    return status
 
 
 def _cmd_plan(args) -> int:
@@ -286,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outcome", type=_kind, required=True)
     p.add_argument("--direction", type=_direction, default=MonotonicityDirection.NON_MONOTONE)
     p.add_argument("--strategy", choices=[s.value for s in Strategy], required=True)
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--json", action="store_true", help="print the record on one line, not indented")
     p.set_defaults(run=_cmd_plan)
 
     p = sub.add_parser("transport", help="generalize a trial estimate to a target sample")
@@ -298,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--learner", choices=[l.value for l in Learner], default=Learner.CELL_MEANS.value
     )
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--json", action="store_true", help="accepted; the record is JSON either way")
     p.set_defaults(run=_cmd_transport)
 
     p = sub.add_parser("simulate", help="run a built-in simulation study")

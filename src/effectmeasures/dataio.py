@@ -208,10 +208,6 @@ def _covariate_column(texts: list[str], column: str):
     return values
 
 
-def _covariate_rows(texts: list[list[str]], covariates: tuple[str, ...], n: int):
-    return stack_columns([_covariate_column(t, c) for t, c in zip(texts, covariates)], n)
-
-
 # the bytes of a body the typed pass reads: integers and decimal numbers only
 _TYPED_BYTES = b"0123456789,.+-eE\n"
 
@@ -311,7 +307,8 @@ def _parse_trial(path) -> TrialSample:
         i, ai = next((i, ai) for i, ai in enumerate(a, start=2) if ai not in (0, 1))
         raise InvariantViolation(f"{path}: row {i}: a must be 0 or 1, got {ai}")
     y = _parse_column(texts[-1], "y", float, "a number")
-    return TrialSample(covariates, _covariate_rows(texts[:-2], covariates, len(a)), a, y)
+    columns = [_covariate_column(t, c) for t, c in zip(texts[:-2], covariates)]
+    return TrialSample(covariates, stack_columns(columns, len(a)), a, y)
 
 
 def save_trial(trial: TrialSample, path) -> None:
@@ -379,7 +376,8 @@ def _parse_target(path) -> TargetSample:
             raise InvariantViolation(
                 f"{path}: row {missing + 2}: y0 must cover every row or the column must be absent"
             )
-    return TargetSample(covariates, _covariate_rows(texts, covariates, n), y0)
+    columns = [_covariate_column(t, c) for t, c in zip(texts, covariates)]
+    return TargetSample(covariates, stack_columns(columns, n), y0)
 
 
 def save_target(target: TargetSample, path) -> None:

@@ -267,6 +267,49 @@ class TestCollapse:
         assert "IOError" in err
 
 
+_PINNED_PAIRS = (
+    ["--mu0", "0.3", "--mu1", "0.3"],  # the null
+    ["--mu0", "0", "--mu1", "1"],  # both 0/1 boundaries
+    ["--mu0", "0", "--mu1", "0.1"],
+    ["--mu0", "0.9", "--mu1", "5e-324"],  # OR underflows to 0
+    ["--mu0", "0.2", "--mu1", "0.12"],  # interior, benefit
+    ["--mu0", "0.01", "--mu1", "0.175"],  # interior, harm
+    ["--mu0", "100", "--mu1", "200", "--kind", "continuous"],
+    ["--mu0", "0", "--mu1", "2.5", "--kind", "continuous"],
+    ["--mu0", "1.5", "--mu1", "0.5"],  # refused
+)
+
+
+def _pinned_command_lines():
+    """Every ``measures`` and ``collapse`` command line whose output bytes
+    are pinned; a fixture is named by its file name."""
+    for pair in _PINNED_PAIRS:
+        for flags in ([], ["--json"], ["--swap-labels"], ["--swap-labels", "--json"]):
+            yield ["measures", *pair, *flags]
+    for fixture in ("protective_summary.csv", "paradox_counts.csv"):
+        for measure in MeasureKind:
+            for flags in ([], ["--json"], ["--check-logic"], ["--check-logic", "--json"]):
+                yield ["collapse", "--strata", fixture, "--measure", measure.value, *flags]
+
+
+class TestOutputBytesPinned:
+    """stdout, stderr and the exit code of every pinned ``measures`` and
+    ``collapse`` command line, hashed together: a refactor of how these
+    commands print must leave each byte where it was."""
+
+    def test_digest(self, capsys):
+        argvs = list(_pinned_command_lines())
+        assert len(argvs) == 100
+        digest = hashlib.sha256()
+        for argv in argvs:
+            resolved = [str(FIXTURES / a) if a.endswith(".csv") else a for a in argv]
+            code, out, err = run(capsys, resolved)
+            digest.update(json.dumps([argv, code, out, err]).encode())
+        assert digest.hexdigest() == (
+            "0049dfa7880678a30703e8177acbb2d7b67e983b1317a5381a8acac0add10045"
+        )
+
+
 class TestPlan:
     def plan(self, capsys, *extra):
         code, out, err = run(capsys, ["plan", "--json", *extra])
@@ -1079,6 +1122,20 @@ class TestStartUp:
         assert codes == [EXIT_OK]
         assert "effectmeasures.simbench" in modules
         assert "effectmeasures.dataio" not in modules
+        codes, modules = _fresh_run(tmp_path, ["measures", "--mu0", "0.2", "--mu1", "0.12"])
+        assert codes == [EXIT_OK]
+        assert {m for m in modules if m.startswith("effectmeasures")} == {
+            "effectmeasures", "effectmeasures.cli", "effectmeasures.errors",
+            "effectmeasures.measures", "effectmeasures.vocab",
+        }
+        codes, modules = _fresh_run(
+            tmp_path, ["collapse", "--strata", PARADOX, "--measure", "rd"],
+            ["plan", "--roles", ROLES_BIN, "--measure", "rd", "--outcome", "binary",
+             "--strategy", "local"],
+        )
+        assert codes == [EXIT_OK, EXIT_OK]
+        assert "effectmeasures.dataio" in modules
+        assert "effectmeasures.simbench" not in modules
 
 
 _BLAS_THREAD_VARIABLES = (

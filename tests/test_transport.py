@@ -395,6 +395,20 @@ class TestLeastSquares:
         with pytest.raises(SingularDesign):
             least_squares_fit([], [])
 
+    @pytest.mark.xfail(
+        strict=True, raises=UndefinedMeasure,
+        reason="a saturated fit rounds the risk 1 to 1.0000000000000002, which the "
+        "binary range check refuses; the fix needs a stated rounding rule",
+    )
+    @pytest.mark.parametrize("estimate", [gformula_conditional, generalize_local])
+    def test_saturated_binary_fit_matches_cell_means(self, estimate):
+        trial = TrialSample(("x",), ((0,), (0,), (1,), (1,)), (0, 1, 0, 1), (1.0, 0.0, 1.0, 1.0))
+        target = TargetSample(("x",), ((0,), (1,)))
+        cell_means = estimate(trial, target, MeasureKind.RD, ("x",), Learner.CELL_MEANS)
+        assert cell_means.value == -0.5
+        est = estimate(trial, target, MeasureKind.RD, ("x",), Learner.LEAST_SQUARES)
+        assert est.value == pytest.approx(-0.5, abs=1e-12)
+
 
 class TestFailureModes:
     def test_local_non_rd_requires_target_y0(self, oracle_trial, oracle_target):
