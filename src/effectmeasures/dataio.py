@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import math
 import warnings
 from dataclasses import MISSING, fields
@@ -37,8 +36,6 @@ __all__ = [
     "save_model",
     "load_roles",
 ]
-
-logger = logging.getLogger(__name__)
 
 NA = "NA"
 
@@ -121,7 +118,11 @@ def load_strata(path, kind: OutcomeKind | None = None) -> StratifiedDistribution
             f"{path}: stratum proportions sum to {total!r}, outside the 1e-6 tolerance"
         )
     if total != 1.0:
-        logger.info("%s: renormalizing proportions by factor %r", path, 1.0 / total)
+        import logging  # here, on the one path that logs, not in every command's start-up
+
+        logging.getLogger(__name__).info(
+            "%s: renormalizing proportions by factor %r", path, 1.0 / total
+        )
         proportions = [p / total for p in proportions]
 
     if variant == "counts":

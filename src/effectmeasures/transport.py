@@ -164,22 +164,32 @@ def _numeric(items: list) -> np.ndarray | None:
         return None
 
 
+def _int_type(lo: int, hi: int) -> np.dtype:
+    """The smallest signed integer type that holds ``lo`` and ``hi``
+    (``lo <= hi``, Python ints within int64): the type of the more
+    negative of ``lo`` and ``-1 - hi``, as a signed type holds ``-1 - hi``
+    exactly when it holds ``hi``."""
+    return np.min_scalar_type(min(lo, -1 - hi))
+
+
 def _column(values) -> np.ndarray:
-    """One covariate column, a new array: int64 when every value is an
-    integer, float64 when every value is a real number, else the values as
-    objects (strings, or a mix)."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
-        if values.dtype.kind == "f":
-            return values.astype(np.float64)
-        # uint64 beyond int64 falls through to the exact objects of the row path
-        if values.dtype.kind == "i" or values.max(initial=0) <= np.iinfo(np.int64).max:
-            return values.astype(np.int64)
-    items = values.tolist() if isinstance(values, np.ndarray) else list(values)
-    column = _numeric(items)
-    if column is None:
-        column = np.empty(len(items), dtype=object)
-        column[:] = items
-    return column
+    """One covariate column, a new array: when every value is an integer,
+    of the smallest signed integer type that holds their minimum and
+    maximum (see :func:`_int_type`); float64 when every value is a real
+    number; else the values as objects (strings, or a mix)."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        items = values.tolist() if isinstance(values, np.ndarray) else list(values)
+        values = _numeric(items)
+        if values is None:
+            column = np.empty(len(items), dtype=object)
+            column[:] = items
+            return column
+    if values.dtype.kind == "f":
+        return values.astype(np.float64)
+    lo, hi = int(values.min(initial=0)), int(values.max(initial=0))
+    if hi > np.iinfo(np.int64).max:  # uint64 beyond int64: the exact objects of the row path
+        return _column(values.tolist())
+    return values.astype(_int_type(lo, hi))
 
 
 def _columns(covariates: tuple[str, ...], x) -> tuple[np.ndarray, ...]:
@@ -204,14 +214,13 @@ def _columns(covariates: tuple[str, ...], x) -> tuple[np.ndarray, ...]:
 
 
 def stack_columns(columns: Sequence, n: int) -> np.ndarray:
-    """The ``n`` rows of covariate columns as one 2-D array: of the
-    columns' dtype when they share a numeric one, else of objects holding
-    each column's own values."""
+    """The ``n`` rows of covariate columns as one 2-D array: int64 when
+    every column holds integers, float64 when every column holds floats,
+    else of objects holding each column's own values."""
     columns = [_column(c) for c in columns]
-    dtypes = {c.dtype for c in columns}
-    if len(dtypes) == 1 and object not in dtypes:
-        return np.column_stack(columns)
-    rows = np.empty((n, len(columns)), dtype=object)
+    kinds = {c.dtype.kind for c in columns}
+    dtype = np.int64 if kinds == {"i"} else np.float64 if kinds == {"f"} else object
+    rows = np.empty((n, len(columns)), dtype=dtype)
     for j, column in enumerate(columns):
         rows[:, j] = column
     return rows
@@ -227,8 +236,11 @@ class _Sample:
     """Covariate columns shared by trial and target samples.
 
     ``x`` takes row tuples or a 2-D array of rows; each covariate is
-    stored as its own read-only column (see :func:`_column`). ``x`` reads
-    back the rows as a 2-D array, built on each access. A sample owns
+    stored as its own read-only column (see :func:`_column`), an integer
+    one in the smallest signed type that holds its values. ``x`` reads
+    back the rows as a 2-D array, built on each access (see
+    :func:`stack_columns`), in int64 where every column holds integers,
+    so a caller's arithmetic on the rows cannot wrap. A sample owns
     every array it holds, copied from its arguments, so it never changes
     after construction and the estimators may keep results computed from
     it (see :func:`_once_per_pair`).
@@ -355,18 +367,24 @@ def _code_column(source: np.ndarray, target: np.ndarray) -> tuple[int, np.ndarra
     The codes are a new array of the smallest signed integer type that
     indexes the levels, ``np.min_scalar_type(-levels)``.
 
-    An int64 column whose value range is below its row count is coded
+    An integer column whose value range is below its row count is coded
     without a sort: the minimum is subtracted in place from the rows'
-    concatenation, the offsets present are counted, and a running count
-    of them gives each offset its code, the code ``np.unique`` would give.
+    concatenation, in the smaller type that holds the columns' values and
+    their offsets from the minimum, the offsets present are marked, and a
+    running count of them gives each offset its code, the code
+    ``np.unique`` would give. Indexing by the offsets reads them in their
+    own type, where ``np.bincount`` would first copy them to intp.
     """
     if source.dtype != object and target.dtype != object:
         values = np.concatenate([source, target])
-        if values.dtype == np.int64:
+        if values.dtype.kind == "i":
             lo, hi = int(values.min()), int(values.max())
             if hi - lo < len(values):  # Python ints: hi - lo can exceed int64
+                offset_type = np.promote_types(values.dtype, _int_type(0, hi - lo))
+                values = values.astype(offset_type, copy=False)
                 values -= lo
-                present = np.bincount(values) > 0  # offset 0, the minimum, is present
+                present = np.zeros(hi - lo + 1, dtype=bool)
+                present[values] = True  # offset 0, the minimum, is present
                 levels = int(np.count_nonzero(present))
                 code_of_offset = np.zeros(len(present), np.min_scalar_type(-levels))
                 np.cumsum(present[1:], out=code_of_offset[1:])

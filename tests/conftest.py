@@ -1,5 +1,6 @@
 import pathlib
 import random
+import threading
 
 import pytest
 
@@ -11,29 +12,25 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture
-def recorded_pools(monkeypatch):
-    """Replace ``concurrent.futures.ThreadPoolExecutor`` with a stub that
-    records each pool's ``max_workers`` and maps in the calling thread, so
-    a test sees a study's pool sizes without starting a thread."""
-    import concurrent.futures
+def recorded_threads(monkeypatch):
+    """Replace ``threading.Thread`` with a stub that records each thread a
+    study starts and runs its target in the calling thread when started,
+    so a test sees how many threads a study starts without starting one."""
+    started = []
 
-    sizes = []
+    class RecordingThread:
+        def __init__(self, target, args=()):
+            self.target, self.args = target, args
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def start(self):
+            started.append(self)
+            self.target(*self.args)
 
-        def __enter__(self):
-            return self
+        def join(self):
+            pass
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-    return sizes
+    monkeypatch.setattr(threading, "Thread", RecordingThread)
+    return started
 
 
 @pytest.fixture

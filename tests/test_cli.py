@@ -873,7 +873,7 @@ class TestSimulate:
         assert all(isinstance(s["median"], float) for s in summaries)
 
     def test_workers_beyond_the_replications_start_no_more_threads(
-        self, capsys, recorded_pools, tmp_path
+        self, capsys, recorded_threads, tmp_path
     ):
         code, _, _ = run(
             capsys,
@@ -885,7 +885,7 @@ class TestSimulate:
         )
         assert code == EXIT_OK
         cpus = simbench._usable_cpus()
-        assert recorded_pools == ([min(3, cpus)] if cpus > 1 else [])
+        assert len(recorded_threads) == min(3, cpus) - 1
 
     def test_unknown_scenario(self, capsys, tmp_path):
         code, _, err = run(
@@ -1115,13 +1115,24 @@ class TestStartUp:
         assert codes == [EXIT_OK]
         assert "effectmeasures.dataio" in modules
         assert "effectmeasures.simbench" not in modules
+        assert "logging" not in modules
+        (tmp_path / "trial.csv").write_text("x,a,y\n0,0,1\n0,1,0\n1,0,0\n1,1,1\n")
+        (tmp_path / "target.csv").write_text("x\n0\n1\n")
         codes, modules = _fresh_run(tmp_path, [
-            "simulate", "--scenario", "roulette-heterogeneous", "--reps", "1",
-            "--n", "50", "--m", "50", "--out", "r.csv",
+            "transport", "--trial", "trial.csv", "--target", "target.csv", "--measure", "rd",
+            "--strategy", "gformula", "--covariates", "x",
+        ])
+        assert codes == [EXIT_OK]
+        assert "effectmeasures.dataio" in modules
+        assert "logging" not in modules
+        codes, modules = _fresh_run(tmp_path, [
+            "simulate", "--scenario", "roulette-heterogeneous", "--reps", "2",
+            "--n", "50", "--m", "50", "--workers", "2", "--out", "r.csv",
         ])
         assert codes == [EXIT_OK]
         assert "effectmeasures.simbench" in modules
         assert "effectmeasures.dataio" not in modules
+        assert "concurrent.futures" not in modules
         codes, modules = _fresh_run(tmp_path, ["measures", "--mu0", "0.2", "--mu1", "0.12"])
         assert codes == [EXIT_OK]
         assert {m for m in modules if m.startswith("effectmeasures")} == {

@@ -433,6 +433,74 @@ class TestParserPaths:
         assert peak < 8e6
 
 
+# values at the bounds of each signed integer type, and the smallest signed
+# type that holds each column
+_COMPACT_COLUMNS = [
+    ([-128, 0, 127], np.int8),
+    ([-129, 0, 1], np.int16),
+    ([0, 128], np.int16),
+    ([-32768, 32767], np.int16),
+    ([32768, 1], np.int32),
+    ([-32769, 0], np.int32),
+    ([-(2**31), 2**31 - 1], np.int32),
+    ([2**31, 0], np.int64),
+    ([-(2**31) - 1, 5], np.int64),
+    ([2**63 - 1, 0], np.int64),
+    ([-(2**63), 2**63 - 1], np.int64),
+    ([7, 7], np.int8),
+    ([-1, -1], np.int8),
+]
+
+
+class TestCompactColumns:
+    """An integer covariate column is kept in the smallest signed type that
+    holds its minimum and maximum, by every constructor and loader alike;
+    ``.tolist()`` gives its values and ``x`` its rows in int64."""
+
+    @pytest.mark.parametrize("values, dtype", _COMPACT_COLUMNS)
+    def test_every_path_gives_the_smallest_type(self, tmp_path, monkeypatch, values, dtype):
+        """Trial and target samples with the column ``values`` and a 0/1
+        column: from rows, from int64 and (where the values fit) uint64
+        arrays, by the typed pass and by the column parser."""
+        rows = [(v, k % 2) for k, v in enumerate(values)]
+        a, y = [k % 2 for k in range(len(rows))], [0.5] * len(rows)
+        arrays = [np.array(rows, np.int64)]
+        if min(values) >= 0:
+            arrays.append(np.array(rows, np.uint64))
+        samples = []
+        for x in [rows, *arrays]:
+            samples += [TrialSample(("x", "z"), x, a, y), TargetSample(("x", "z"), x)]
+        dataio.save_trial(samples[0], tmp_path / "trial.csv")
+        dataio.save_target(samples[1], tmp_path / "target.csv")
+        samples += [dataio._parse_trial(tmp_path / "trial.csv")]
+        samples += [dataio._parse_target(tmp_path / "target.csv")]
+        monkeypatch.setattr(dataio, "_parse_trial", None)  # so only the typed pass can load
+        monkeypatch.setattr(dataio, "_parse_target", None)
+        samples += [dataio.load_trial(tmp_path / "trial.csv")]
+        samples += [dataio.load_target(tmp_path / "target.csv")]
+        for sample in samples:
+            x, z = sample.columns
+            assert (x.dtype, z.dtype) == (np.dtype(dtype), np.int8)
+            assert x.tolist() == values and z.tolist() == [k % 2 for k in range(len(values))]
+            assert sample.x.dtype == np.int64 and sample.x.tolist() == list(map(list, rows))
+
+    def test_a_loaded_roulette_sample_holds_a_byte_per_covariate(self, tmp_path):
+        """100,000 rows of 0/1 covariates: a trial holds three int8 columns,
+        int8 arms and float64 outcomes, 1.2 MB; a target three int8 columns
+        and float64 control outcomes, 1.1 MB (3.3 and 3.2 MB in int64)."""
+        rng = np.random.default_rng(28)
+        trial, target = tmp_path / "trial.csv", tmp_path / "target.csv"
+        np.savetxt(trial, rng.integers(0, 2, (100_000, 5)), fmt="%d", delimiter=",",
+                   header="lifestyle,stress,gender,a,y", comments="")
+        np.savetxt(target, rng.integers(0, 2, (100_000, 4)), fmt="%d", delimiter=",",
+                   header="lifestyle,stress,gender,y0", comments="")
+        held = [
+            sum(a.nbytes for a in sample._arrays())
+            for sample in (dataio.load_trial(trial), dataio.load_target(target))
+        ]
+        assert held == [1_200_000, 1_100_000]
+
+
 class TestGrid:
     @staticmethod
     def read_grid(path):

@@ -2,6 +2,7 @@ import collections
 import gc
 import math
 import statistics
+import threading
 
 import numpy as np
 import pytest
@@ -400,9 +401,10 @@ def test_a_configuration_without_a_truth_is_refused(continuous):
 
 
 class TestThreadPool:
-    """A study's pool holds at most min(workers, reps, usable CPUs)
-    threads, and one thread runs in process. No test here starts a
-    thread: the pool is ``recorded_pools``' stub."""
+    """A study runs on at most min(workers, reps, usable CPUs) threads:
+    the calling thread, and one started thread for each further share.
+    Only the test of an error starts a real thread; ``test_pool_size``
+    counts the starts on ``recorded_threads``' stub."""
 
     @pytest.mark.parametrize(
         "cpus, workers, reps, sizes",
@@ -415,13 +417,57 @@ class TestThreadPool:
             (64, 1, 3, []),
         ],
     )
-    def test_pool_size(self, monkeypatch, recorded_pools, roulette, cpus, workers, reps, sizes):
+    def test_pool_size(self, monkeypatch, recorded_threads, roulette, cpus, workers, reps, sizes):
+        """``sizes`` lists the study's thread count where it is above one."""
         from effectmeasures import simbench
 
         monkeypatch.setattr(simbench, "_usable_cpus", lambda: cpus)
         kwargs = dict(seed=17, reps=reps, n=400, m=600)
         report = run_scenario(roulette, workers=workers, **kwargs)
-        assert recorded_pools == sizes
+        # the calling thread runs share 0, and one started thread each other share
+        assert [t.args for t in recorded_threads] == [(k,) for k in range(1, max(sizes, default=1))]
+        assert report == run_scenario(roulette, **kwargs)
+
+    def test_an_error_in_a_started_thread_reaches_the_caller(self, monkeypatch, roulette):
+        from effectmeasures import simbench
+
+        run_one = simbench._run_one
+        ran_in = {}
+
+        def failing(scenario, seed, rep_index, *rest):
+            ran_in[rep_index] = threading.current_thread()
+            if rep_index == 1:
+                raise RuntimeError("replication 1")
+            return run_one(scenario, seed, rep_index, *rest)
+
+        monkeypatch.setattr(simbench, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(simbench, "_run_one", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^replication 1$"):
+            run_scenario(roulette, seed=17, reps=3, n=400, m=600, workers=2)
+        assert sorted(ran_in) == [0, 1, 2]
+        assert ran_in[1] is not threading.main_thread()
+        assert threading.active_count() == before
+
+    def test_more_threads_than_cpus_switching_often_give_the_sequential_report(
+        self, monkeypatch, roulette
+    ):
+        """Eight threads write their shares into one result list while the
+        interpreter switches threads every microsecond: no result is lost
+        or misplaced."""
+        import sys
+
+        from effectmeasures import simbench
+
+        monkeypatch.setattr(simbench, "_usable_cpus", lambda: 8)
+        kwargs = dict(seed=17, reps=24, n=200, m=200)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = run_scenario(roulette, workers=8, **kwargs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.rep_index for r in report.results] == list(range(24))
         assert report == run_scenario(roulette, **kwargs)
 
     def test_usable_cpus(self, monkeypatch):

@@ -597,9 +597,10 @@ def _unique_codes(source, target):
 
 
 class TestIntegerCoding:
-    """int64 columns coded by counting get the codes ``np.unique`` gives,
-    and cell codes are ``np.unique``'s codes of the cell tuples; each in
-    the smallest signed integer type that indexes its levels or cells."""
+    """Integer columns coded by counting get the codes ``np.unique`` gives,
+    compact columns the codes of their values in int64, and cell codes are
+    ``np.unique``'s codes of the cell tuples; each in the smallest signed
+    integer type that indexes its levels or cells."""
 
     @pytest.mark.parametrize(
         "source, target, sorts",
@@ -635,6 +636,54 @@ class TestIntegerCoding:
         size, codes = _code_column(source, target)
         levels, inverse = _unique_codes(source, target)
         assert size == levels and codes.tolist() == inverse.tolist()
+
+    @staticmethod
+    def assert_compact_codes_as_int64(source, target, sorts, monkeypatch=None):
+        """The codes of the columns as samples keep them, compact and
+        read-only, are those of the same values in int64, and the
+        columns are left as they were."""
+        wide = np.array(source, np.int64), np.array(target, np.int64)
+        compact = tuple(map(transport._column, wide))
+        for column in compact:
+            column.flags.writeable = False
+        want_levels, want_codes = _code_column(*wide)
+        if monkeypatch is not None:
+            unique, calls = np.unique, []
+            monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(a) or unique(*a, **kw))
+        levels, codes = _code_column(*compact)
+        if monkeypatch is not None:
+            assert bool(calls) is sorts
+        assert levels == want_levels and codes.dtype == want_codes.dtype
+        assert codes.tolist() == want_codes.tolist() == _unique_codes(*wide)[1].tolist()
+        assert [c.tolist() for c in compact] == [c.tolist() for c in wide]
+
+    @pytest.mark.parametrize(
+        "source, target, types, sorts",
+        [
+            (range(-128, 100), [0], (np.int8, np.int8), False),  # offsets up to 227: int16
+            ([1000, 1010, 1004], [1007] * 8, (np.int16, np.int16), False),  # offsets fit int8
+            ([-129, 127], [0] * 300, (np.int16, np.int8), False),
+            ([0, 3], [1], (np.int8, np.int8), True),
+            ([I64.max, I64.max - 2], [I64.max - 1], (np.int64, np.int64), False),
+            ([-(2**31), 2**31 - 1], [0] * 9, (np.int32, np.int8), True),
+            ([I64.min, I64.max], [0], (np.int64, np.int8), True),
+        ],
+    )
+    def test_compact_columns_code_as_int64_columns(self, monkeypatch, source, target, types, sorts):
+        assert (transport._column(source).dtype, transport._column(target).dtype) == types
+        self.assert_compact_codes_as_int64(source, target, sorts, monkeypatch)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        base=st.sampled_from([I64.min, -(2**31) - 20, -32788, -148, -20, 107, 32747, 2**31 - 20,
+                              I64.max - 40]),
+        offsets=st.lists(st.integers(0, 40), min_size=2, max_size=40),
+        data=st.data(),
+    )
+    def test_compact_columns_near_type_bounds(self, base, offsets, data):
+        values = [base + k for k in offsets]
+        split = data.draw(st.integers(1, len(values) - 1))
+        self.assert_compact_codes_as_int64(values[:split], values[split:], None)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
