@@ -22,7 +22,7 @@ from .errors import InvariantViolation, ParseError
 from .genmodel import MODEL_TYPES, DiscreteCovariateSpace
 from .measures import MeasureKind, OutcomeKind, OutcomePair, measure_table
 from .strata import StratifiedDistribution, Stratum
-from .transport import CovariateRoles, TargetSample, TrialSample, stack_columns
+from .transport import CovariateRoles, TargetSample, TrialSample
 
 __all__ = [
     "load_strata",
@@ -293,7 +293,8 @@ def load_trial(path) -> TrialSample:
         fields = [("x", np.int64, (len(covariates),)), ("a", np.int64), ("y", np.float64)]
         table = _typed_table(path, fields)
         if table is not None and ((table["a"] == 0) | (table["a"] == 1)).all():
-            return TrialSample(covariates, table["x"], table["a"], table["y"])
+            columns = dict(zip(covariates, table["x"].T))
+            return TrialSample(covariates, columns, table["a"], table["y"])
     return _parse_trial(path)
 
 
@@ -308,8 +309,8 @@ def _parse_trial(path) -> TrialSample:
         i, ai = next((i, ai) for i, ai in enumerate(a, start=2) if ai not in (0, 1))
         raise InvariantViolation(f"{path}: row {i}: a must be 0 or 1, got {ai}")
     y = _parse_column(texts[-1], "y", float, "a number")
-    columns = [_covariate_column(t, c) for t, c in zip(texts[:-2], covariates)]
-    return TrialSample(covariates, stack_columns(columns, len(a)), a, y)
+    columns = {c: _covariate_column(t, c) for t, c in zip(texts[:-2], covariates)}
+    return TrialSample(covariates, columns, a, y)
 
 
 def save_trial(trial: TrialSample, path) -> None:
@@ -357,7 +358,8 @@ def load_target(path) -> TargetSample:
         fields = [("x", np.int64, (len(covariates),))] + ([("y0", np.float64)] if has_y0 else [])
         table = _typed_table(path, fields)
         if table is not None:
-            return TargetSample(covariates, table["x"], table["y0"] if has_y0 else None)
+            columns = dict(zip(covariates, table["x"].T))
+            return TargetSample(covariates, columns, table["y0"] if has_y0 else None)
     return _parse_target(path)
 
 
@@ -377,8 +379,8 @@ def _parse_target(path) -> TargetSample:
             raise InvariantViolation(
                 f"{path}: row {missing + 2}: y0 must cover every row or the column must be absent"
             )
-    columns = [_covariate_column(t, c) for t, c in zip(texts, covariates)]
-    return TargetSample(covariates, stack_columns(columns, n), y0)
+    columns = {c: _covariate_column(t, c) for t, c in zip(texts, covariates)}
+    return TargetSample(covariates, columns, y0)
 
 
 def save_target(target: TargetSample, path) -> None:

@@ -147,22 +147,23 @@ class Scenario:
     default_m: int
     default_reps: int
 
-    def _sample_x(self, rng: np.random.Generator, size: int, population: str) -> np.ndarray:
+    def _sample_x(self, rng: np.random.Generator, size: int, population: str) -> list[np.ndarray]:
+        """One column of ``size`` draws per covariate, of the type the sample keeps."""
         raise NotImplementedError
 
-    def _outcome(self, rng: np.random.Generator, x: np.ndarray, a) -> np.ndarray:
-        """Outcomes drawn for the rows ``x`` under arm(s) ``a``."""
+    def _outcome(self, rng: np.random.Generator, x: list[np.ndarray], a) -> np.ndarray:
+        """Outcomes drawn for the covariate columns ``x`` under arm(s) ``a``."""
         raise NotImplementedError
 
     def sample_trial(self, rng: np.random.Generator, n: int) -> TrialSample:
         x = self._sample_x(rng, n, "source")
         a = rng.binomial(1, 0.5, n)
-        return TrialSample(self.covariates, x, a, self._outcome(rng, x, a))
+        return TrialSample(self.covariates, dict(zip(self.covariates, x)), a, self._outcome(rng, x, a))
 
     def sample_target(self, rng: np.random.Generator, m: int) -> TargetSample:
         x = self._sample_x(rng, m, "target")
         y0 = self._outcome(rng, x, 0) if self.target_y0 else None
-        return TargetSample(self.covariates, x, y0)
+        return TargetSample(self.covariates, dict(zip(self.covariates, x)), y0)
 
     def truths(self, population: str) -> list[MeasureValue | UndefinedAnnotation]:
         """Every measure of the population's outcome pair, from the
@@ -217,33 +218,33 @@ class _ContinuousLinear(Scenario):
     _NOISE_SD = math.sqrt(2.0)
 
     @staticmethod
-    def _b(x: np.ndarray) -> np.ndarray:
+    def _b(x):
         return (
-            0.05 * x[:, 0] + 0.04 * x[:, 1] + 2.0 * x[:, 2]
-            + x[:, 3] + 2.0 * x[:, 4] - 2.0 * x[:, 5]
+            0.05 * x[0] + 0.04 * x[1] + 2.0 * x[2]
+            + x[3] + 2.0 * x[4] - 2.0 * x[5]
         )
 
     @staticmethod
-    def _m(x: np.ndarray) -> np.ndarray:
-        return 1.5 * x[:, 0] + 2.0 * x[:, 1] + x[:, 4]
+    def _m(x):
+        return 1.5 * x[0] + 2.0 * x[1] + x[4]
 
-    def _sample_x(self, rng: np.random.Generator, size: int, population: str) -> np.ndarray:
+    def _sample_x(self, rng: np.random.Generator, size: int, population: str) -> list[np.ndarray]:
+        """Six float64 columns: X4 and X5, Bernoulli draws, as 0.0 and 1.0."""
         z = rng.standard_normal((size, 3))
         x123 = self._MEANS[population] + z @ self._CHOL.T
-        x4 = rng.binomial(1, self._P4[population], size)
-        x5 = rng.binomial(1, self._P5, size)
+        x4 = rng.binomial(1, self._P4[population], size).astype(np.float64)
+        x5 = rng.binomial(1, self._P5, size).astype(np.float64)
         x6 = rng.normal(self._X6_MEAN, 1.0, size)
-        return np.column_stack([x123, x4, x5, x6])
+        return [*x123.T, x4, x5, x6]
 
-    def _outcome(self, rng: np.random.Generator, x: np.ndarray, a) -> np.ndarray:
-        eps = rng.normal(0.0, self._NOISE_SD, len(x))
+    def _outcome(self, rng: np.random.Generator, x: list[np.ndarray], a) -> np.ndarray:
+        eps = rng.normal(0.0, self._NOISE_SD, len(x[0]))
         return self._b(x) + a * self._m(x) + eps
 
     def _moments(self, population: str) -> tuple[float, float]:
         # b and m are linear, so their means are their values at the covariate means
-        population_means = [*self._MEANS[population], self._P4[population], self._P5, self._X6_MEAN]
-        means = np.array([population_means])
-        return float(self._b(means)[0]), float(self._m(means)[0])
+        means = [*self._MEANS[population].tolist(), self._P4[population], self._P5, self._X6_MEAN]
+        return self._b(means), self._m(means)
 
     def truths(self, population: str) -> list[MeasureValue | UndefinedAnnotation]:
         e_b, e_m = self._moments(population)  # the outcome pair is (E[b], E[b] + E[m])
@@ -298,12 +299,11 @@ class _RouletteHeterogeneous(Scenario):
         # outcome risk by (arm, cell)
         self.risk = np.array([[potential_mean(self.model, a, c) for c in cells] for a in (0, 1)])
 
-    def _sample_x(self, rng: np.random.Generator, size: int, population: str) -> np.ndarray:
-        return np.column_stack([rng.binomial(1, rate, size) for rate in self._RATES[population]])
+    def _sample_x(self, rng: np.random.Generator, size: int, population: str) -> list[np.ndarray]:
+        return [rng.binomial(1, rate, size) for rate in self._RATES[population]]
 
-    def _outcome(self, rng: np.random.Generator, x: np.ndarray, a) -> np.ndarray:
-        l, s, g = x.T
-        return rng.binomial(1, self.risk[a, 4 * l + 2 * s + g])
+    def _outcome(self, rng: np.random.Generator, x: list[np.ndarray], a) -> np.ndarray:
+        return rng.binomial(1, self.risk[a, 4 * x[0] + 2 * x[1] + x[2]])
 
     def truths(self, population: str) -> list[MeasureValue | UndefinedAnnotation]:
         return population_measures_binary(self.model, self.space, population)
@@ -333,13 +333,14 @@ def default_config(scenario: Scenario) -> tuple[EstimatorConfig, ...]:
     return scenario.config
 
 
-def _validate_config(scenario: Scenario, config: tuple[EstimatorConfig, ...]) -> None:
+def _estimator_functions(scenario: Scenario, config: tuple[EstimatorConfig, ...]) -> list:
+    """Each entry's estimator, once every entry's covariates are checked."""
     for entry in config:
         if not set(entry.covariates) <= set(scenario.covariates):
             raise InvariantViolation(
                 f"covariates {entry.covariates!r} not in scenario {scenario.name!r}"
             )
-        estimator(entry.strategy, scenario.learner)
+    return [estimator(entry.strategy, scenario.learner) for entry in config]
 
 
 def _rep_rng(seed: int, rep_index: int) -> np.random.Generator:
@@ -355,6 +356,7 @@ def _run_one(
     n: int,
     m: int,
     config: tuple[EstimatorConfig, ...],
+    functions: list,  # each entry's estimator, from _estimator_functions
 ) -> ReplicationResult:
     rng = _rep_rng(seed, rep_index)
     try:
@@ -365,11 +367,9 @@ def _run_one(
         return ReplicationResult(rep_index, {}, {entry.key: reason for entry in config})
     estimates: dict[tuple, float] = {}
     failures: dict[tuple, str] = {}
-    for entry in config:
+    for entry, function in zip(config, functions):
         try:
-            est = estimator(entry.strategy, scenario.learner)(
-                trial, target, entry.measure, entry.covariates, scenario.learner
-            )
+            est = function(trial, target, entry.measure, entry.covariates, scenario.learner)
             estimates[entry.key] = est.value
         except EffectMeasureError as exc:
             failures[entry.key] = f"{type(exc).__name__}: {exc}"
@@ -422,7 +422,7 @@ def run_scenario(
             raise InvariantViolation(f"{name} must be >= 1, got {value}")
     if seed < 0:
         raise InvariantViolation(f"seed must be >= 0, got {seed}")
-    _validate_config(scenario, config)
+    functions = _estimator_functions(scenario, config)
     truths = scenario.ground_truths([entry.measure for entry in config])
 
     # share k holds replications k, k + threads, ...; the calling thread runs
@@ -434,7 +434,7 @@ def run_scenario(
     def run_share(k: int) -> None:
         try:
             for r in range(k, reps, threads):
-                results[r] = _run_one(scenario, seed, r, n, m, config)
+                results[r] = _run_one(scenario, seed, r, n, m, config, functions)
         except BaseException as exc:  # raised in the calling thread once all have ended
             errors.append(exc)
 

@@ -49,7 +49,6 @@ __all__ = [
     "ipsw_conditional",
     "generalize_local",
     "least_squares_fit",
-    "stack_columns",
 ]
 
 
@@ -192,16 +191,27 @@ def _column(values) -> np.ndarray:
     return values.astype(_int_type(lo, hi))
 
 
-def _columns(covariates: tuple[str, ...], x) -> tuple[np.ndarray, ...]:
-    """Validated covariate columns from row tuples or a 2-D array of rows."""
-    if isinstance(x, np.ndarray):
+def _columns(covariates: tuple[str, ...], x) -> tuple[int, tuple[np.ndarray, ...]]:
+    """The number of rows and the validated covariate columns, each typed
+    once by :func:`_column`, from a dict of each covariate's column, row
+    tuples or a 2-D array of rows."""
+    if isinstance(x, dict):
+        if x.keys() != set(covariates):
+            raise InvariantViolation(f"columns {list(x)!r} differ from covariates {covariates!r}")
+        columns = [x[name] for name in covariates]
+        if not all(isinstance(c, (list, tuple)) or np.ndim(c) == 1 for c in columns):
+            raise InvariantViolation("covariate columns must be 1-D")
+        n = len(columns[0]) if columns else 0
+        if any(len(c) != n for c in columns):
+            raise InvariantViolation("covariate columns differ in length")
+    elif isinstance(x, np.ndarray):
         if x.ndim != 2 or x.shape[1] != len(covariates):
             raise InvariantViolation("row arity differs from covariate list")
-        columns = x.T
+        n, columns = len(x), x.T
     else:
         if any(len(row) != len(covariates) for row in x):
             raise InvariantViolation("row arity differs from covariate list")
-        columns = zip(*x)
+        n, columns = len(x), zip(*x)
     out = []
     for name, values in zip(covariates, columns):
         column = _column(values)
@@ -210,20 +220,7 @@ def _columns(covariates: tuple[str, ...], x) -> tuple[np.ndarray, ...]:
         )
         _check_finite(f"covariate {name!r}", numbers)
         out.append(_frozen(column))
-    return tuple(out)
-
-
-def stack_columns(columns: Sequence, n: int) -> np.ndarray:
-    """The ``n`` rows of covariate columns as one 2-D array: int64 when
-    every column holds integers, float64 when every column holds floats,
-    else of objects holding each column's own values."""
-    columns = [_column(c) for c in columns]
-    kinds = {c.dtype.kind for c in columns}
-    dtype = np.int64 if kinds == {"i"} else np.float64 if kinds == {"f"} else object
-    rows = np.empty((n, len(columns)), dtype=dtype)
-    for j, column in enumerate(columns):
-        rows[:, j] = column
-    return rows
+    return n, tuple(out)
 
 
 def _same(p: np.ndarray | None, q: np.ndarray | None) -> bool:
@@ -235,15 +232,15 @@ def _same(p: np.ndarray | None, q: np.ndarray | None) -> bool:
 class _Sample:
     """Covariate columns shared by trial and target samples.
 
-    ``x`` takes row tuples or a 2-D array of rows; each covariate is
-    stored as its own read-only column (see :func:`_column`), an integer
-    one in the smallest signed type that holds its values. ``x`` reads
-    back the rows as a 2-D array, built on each access (see
-    :func:`stack_columns`), in int64 where every column holds integers,
-    so a caller's arithmetic on the rows cannot wrap. A sample owns
-    every array it holds, copied from its arguments, so it never changes
-    after construction and the estimators may keep results computed from
-    it (see :func:`_once_per_pair`).
+    ``x`` takes a dict from each covariate name to its column, row tuples
+    or a 2-D array of rows; each covariate is stored as its own read-only
+    column, typed once (see :func:`_column`). ``x`` reads back the rows,
+    built from those columns on each access: int64 where every column
+    holds integers, so a caller's arithmetic on the rows cannot wrap,
+    float64 where every column holds floats, else each column's own
+    values as objects. A sample owns every array it holds, copied from its
+    arguments, so it never changes after construction and the estimators
+    may keep results computed from it (see :func:`_once_per_pair`).
     """
 
     __slots__ = ("covariates", "columns", "n")
@@ -252,14 +249,18 @@ class _Sample:
         self.covariates = tuple(covariates)
         if len(set(self.covariates)) != len(self.covariates):
             raise InvariantViolation(f"duplicate covariate names in {self.covariates!r}")
-        self.n = len(x)
+        self.n, self.columns = _columns(self.covariates, x)
         if self.n == 0:
             raise InvariantViolation(f"{type(self).__name__} needs at least one row")
-        self.columns = _columns(self.covariates, x)
 
     @property
     def x(self) -> np.ndarray:
-        return stack_columns(self.columns, self.n)
+        kinds = {c.dtype.kind for c in self.columns}
+        dtype = np.int64 if kinds == {"i"} else np.float64 if kinds == {"f"} else object
+        rows = np.empty((self.n, len(self.columns)), dtype=dtype)
+        for j, column in enumerate(self.columns):
+            rows[:, j] = column
+        return rows
 
     def column_indices(self, covariates: Sequence[str]) -> tuple[int, ...]:
         for name in covariates:

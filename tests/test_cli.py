@@ -684,7 +684,7 @@ class TestTransport:
     def test_bom_before_the_trial_header(self, capsys, toy_files, tmp_path):
         trial_path, target_path = toy_files
         with_bom = tmp_path / "bom.csv"
-        with_bom.write_bytes(b"\xef\xbb\xbf" + open(trial_path, "rb").read())
+        with_bom.write_bytes(b"\xef\xbb\xbf" + Path(trial_path).read_bytes())
         assert self.estimate(capsys, str(with_bom), target_path, "rd", "gformula") == (
             self.estimate(capsys, trial_path, target_path, "rd", "gformula")
         )

@@ -501,6 +501,71 @@ class TestCompactColumns:
         assert held == [1_200_000, 1_100_000]
 
 
+class TestNamedColumns:
+    """The loaders hand the sample one column per covariate, and the sample
+    types each once (see ``transport._column``)."""
+
+    @pytest.fixture
+    def typed(self, monkeypatch):
+        """The lengths of the columns ``transport._column`` types."""
+        from effectmeasures import transport
+
+        lengths, column = [], transport._column
+        monkeypatch.setattr(
+            transport, "_column", lambda values: lengths.append(len(values)) or column(values)
+        )
+        return lengths
+
+    @pytest.mark.parametrize(
+        "load, text",
+        [
+            ("load_trial", "x,z,a,y\n0,5,0,1\n1,-3,1,0.5\n2,0,0,0\n"),
+            ("_parse_trial", "x,z,a,y\n0,5,0,1\n1,-3,1,0.5\n2,0,0,0\n"),
+            ("load_trial", "x,tag,a,y\n0,u,0,1\n1,v,1,0.5\n2,u,0,0\n"),
+            ("load_trial", "x,u,a,y\n0,0.5,0,1\n1,2,1,0.5\n2,-1e3,0,0\n"),
+            ("load_target", "x,z,y0\n0,5,1\n1,-3,0.5\n2,0,0\n"),
+            ("_parse_target", "x,z,y0\n0,5,1\n1,-3,0.5\n2,0,0\n"),
+            ("load_target", "x,tag\n0,u\n1,v\n2,u\n"),
+            ("load_target", "x,u\n0,0.5\n1,2\n2,-1e3\n"),
+        ],
+        ids=["typed-trial", "parsed-int-trial", "int-string-trial", "int-float-trial",
+             "typed-target", "parsed-int-target", "int-string-target", "int-float-target"],
+    )
+    def test_each_covariate_column_is_typed_once(self, tmp_path, typed, load, text):
+        path = tmp_path / "sample.csv"
+        path.write_text(text)
+        sample = getattr(dataio, load)(path)
+        assert sample.covariates == ("x", sample.covariates[1]) and sample.n == 3
+        assert typed == [3, 3]
+
+    @pytest.mark.parametrize(
+        "trial_text, target_text, dtypes",
+        [
+            ("x,tag,a,y\n0,u,0,1\n300,v,1,0.5\n", "x,tag,y0\n0,u,1\n300,w,0\n",
+             [np.int16, object]),
+            ("x,u,a,y\n0,0.5,0,1\n-1,2,1,0.5\n", "x,u,y0\n0,0.5,1\n-1,2,0\n",
+             [np.int8, np.float64]),
+        ],
+        ids=["int-string", "int-float"],
+    )
+    def test_mixed_files_load_as_parsed_with_their_dtypes(
+        self, tmp_path, trial_text, target_text, dtypes
+    ):
+        """The loader gives the column parser's sample: an integer column in
+        its smallest type beside a string or float column, and object rows."""
+        for text, load, parse in (
+            (trial_text, dataio.load_trial, dataio._parse_trial),
+            (target_text, dataio.load_target, dataio._parse_target),
+        ):
+            path = tmp_path / "sample.csv"
+            path.write_text(text)
+            sample = load(path)
+            assert _outcome(load, path) == _outcome(parse, path)
+            assert [c.dtype for c in sample.columns] == dtypes
+            assert sample.x.dtype == object
+            assert [type(v) for v in sample.x[0].tolist()] == [int, type(sample.columns[1].tolist()[0])]
+
+
 class TestGrid:
     @staticmethod
     def read_grid(path):

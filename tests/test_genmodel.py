@@ -536,6 +536,31 @@ class TestRefusals:
         with pytest.raises(UndefinedMeasure, match="p0 must lie in"):
             identify_modulation(p0, 0.5, BENEFICIAL)
 
+    def test_a_population_of_the_wrong_length(self):
+        with pytest.raises(InvariantViolation, match="'pop': 1 probabilities for 2 cells"):
+            DiscreteCovariateSpace(("x",), ((0,), (1,)), {"pop": (1.0,)})
+
+    def test_rr_where_the_marginal_control_probability_underflows(self):
+        """Each cell's b is the least subnormal, so each p * b rounds to 0
+        and E[b] is 0, although every b is positive."""
+        cells = ((0,), (1,), (2,))
+        space = DiscreteCovariateSpace(("x",), cells, {"pop": (0.4, 0.4, 0.2)})
+        zero = {c: 0.0 for c in cells}
+        model = EntanglementModel({c: 5e-324 for c in cells}, zero, {c: 0.5 for c in cells})
+        with pytest.raises(UndefinedMeasure, match="RR needs a nonzero marginal"):
+            monotone_ratio(model, space, "pop", BENEFICIAL)
+
+    def test_sr_where_the_marginal_control_probability_rounds_to_one(self):
+        """E[b] = (1 - 2**-53) + 0.9e-16 rounds to 1, although every b is
+        below 1."""
+        cells = ((0,), (1,))
+        space = DiscreteCovariateSpace(("x",), cells, {"pop": (1.0, 1e-16)})
+        model = EntanglementModel(
+            {(0,): 1.0 - 2.0**-53, (1,): 0.9}, {(0,): 0.0, (1,): 0.5}, {c: 0.0 for c in cells}
+        )
+        with pytest.raises(UndefinedMeasure, match="SR needs marginal control probability != 1"):
+            monotone_ratio(model, space, "pop", HARMFUL)
+
     def test_logit_of_zero(self):
         with pytest.raises(UndefinedMeasure, match="logit needs p in"):
             logit(0.0)

@@ -316,7 +316,8 @@ class TestPairMemoLifetime:
 
         kinds = (transport.TrialSample, transport.TargetSample, transport._Cells)
         before = [live(kind) for kind in kinds]
-        result = simbench._run_one(roulette, 3, 0, 400, 600, default_config(roulette))
+        functions = simbench._estimator_functions(roulette, default_config(roulette))
+        result = simbench._run_one(roulette, 3, 0, 400, 600, default_config(roulette), functions)
         assert len(result.estimates) == len(default_config(roulette))
         assert filled and min(filled) > 0
         assert [live(kind) for kind in kinds] == before
@@ -334,7 +335,8 @@ def test_a_replication_codes_each_column_once(monkeypatch):
     monkeypatch.setattr(
         transport, "_code_column", lambda *args: coded.append(args) or code_column(*args)
     )
-    result = simbench._run_one(roulette, 3, 0, 400, 600, default_config(roulette))
+    functions = simbench._estimator_functions(roulette, default_config(roulette))
+    result = simbench._run_one(roulette, 3, 0, 400, 600, default_config(roulette), functions)
     assert len(result.estimates) == len(default_config(roulette))
     assert len(coded) == 3
 
@@ -370,7 +372,8 @@ def test_a_replication_builds_one_cell_table_per_covariate_set(monkeypatch):
         init(self, trial, target, covariates)
 
     monkeypatch.setattr(transport._Cells, "__init__", recording)
-    result = simbench._run_one(roulette, 3, 0, 400, 600, default_config(roulette))
+    functions = simbench._estimator_functions(roulette, default_config(roulette))
+    result = simbench._run_one(roulette, 3, 0, 400, 600, default_config(roulette), functions)
     assert len(result.estimates) == len(default_config(roulette)) == 7
     assert sorted(built) == [("lifestyle", "stress"), ("stress",)]
 
@@ -482,3 +485,48 @@ class TestThreadPool:
         assert simbench._usable_cpus() == 6
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert simbench._usable_cpus() == 1
+
+
+@pytest.mark.parametrize(
+    "name, dtypes",
+    [
+        ("roulette-heterogeneous", [np.int8] * 3),
+        ("continuous-linear", [np.float64] * 6),
+    ],
+)
+def test_a_study_sampler_types_each_column_once(monkeypatch, name, dtypes):
+    """Each sampler hands the sample one column per covariate, which the
+    sample types once: three int8 roulette columns, six float64 continuous
+    ones (the Bernoulli X4 and X5 among them), so the continuous rows stay
+    float64."""
+    from effectmeasures import simbench, transport
+
+    scenario = builtin_scenario(name)
+    lengths, column = [], transport._column
+    monkeypatch.setattr(
+        transport, "_column", lambda values: lengths.append(len(values)) or column(values)
+    )
+    rng = simbench._rep_rng(5, 0)
+    trial, target = scenario.sample_trial(rng, 300), scenario.sample_target(rng, 200)
+    width = len(scenario.covariates)
+    assert lengths == [300] * width + [200] * width
+    for sample in (trial, target):
+        assert [c.dtype for c in sample.columns] == dtypes
+        assert sample.x.dtype == (np.int64 if dtypes[0] == np.int8 else np.float64)
+    binary = [c for c in target.columns if set(c.tolist()) <= {0, 1}]
+    assert len(binary) == (3 if name == "roulette-heterogeneous" else 2)
+
+
+def test_a_study_resolves_each_estimator_once(monkeypatch, roulette):
+    """The seven roulette configurations are looked up once per study, not
+    once per replication, and the report is unchanged."""
+    from effectmeasures import simbench
+
+    kwargs = dict(seed=17, reps=3, n=400, m=600)
+    want = run_scenario(roulette, **kwargs)
+    looked_up, lookup = [], simbench.estimator
+    monkeypatch.setattr(
+        simbench, "estimator", lambda *args: looked_up.append(args) or lookup(*args)
+    )
+    assert run_scenario(roulette, **kwargs) == want
+    assert looked_up == [(e.strategy, roulette.learner) for e in default_config(roulette)]

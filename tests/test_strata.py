@@ -289,6 +289,22 @@ class TestValidation:
         assert str(excinfo.value) == "stratum 'b' has kind continuous, distribution is binary"
 
 
+class TestWeightRefusals:
+    @pytest.mark.parametrize(
+        "weights, message",
+        [((-0.5, 1.5), "must be nonnegative"), ((0.3, 0.3), "must sum to 1")],
+    )
+    def test_collapse_weights_built_directly(self, weights, message):
+        from effectmeasures.strata import CollapseWeights
+
+        with pytest.raises(InvariantViolation, match=message):
+            CollapseWeights(MeasureKind.RD, weights)
+
+    def test_collapse_weights_of_the_odds_ratio(self):
+        with pytest.raises(NonCollapsible):
+            collapse_weights(MeasureKind.OR, np.array([0.5, 0.5]), np.array([0.2, 0.4]))
+
+
 class TestCountRefusals:
     @pytest.mark.parametrize("counts", [((1.5, 2), (1, 1)), ((1, 2), (-1, 1))])
     def test_counts_must_be_nonnegative_integers(self, counts):

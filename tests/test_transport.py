@@ -1139,3 +1139,100 @@ def test_a_column_of_mixed_numbers_and_strings_is_coded_in_first_seen_order():
     for fn in (gformula_conditional, generalize_local):
         for measure in (MeasureKind.RD, MeasureKind.RR, MeasureKind.SR):
             assert fn(*mixed, measure, ("c",)) == fn(*text, measure, ("c",))
+
+
+class TestNamedColumns:
+    """A sample built from a dict of each covariate's column equals the one
+    built from the same values as rows, types each column once, and reads
+    its rows back by the same rule."""
+
+    ROWS = ((0, "u", 0.5, 300), (1, "v", 2.0, -1), (1, "u", -0.25, 7))
+
+    def test_a_dict_of_columns_equals_its_rows(self):
+        names = ("i", "tag", "u", "wide")
+        columns = {name: list(values) for name, values in zip(names, zip(*self.ROWS))}
+        a, y = (0, 1, 1), (0.0, 1.0, 0.5)
+        trial = TrialSample(names, columns, a, y)
+        assert trial == TrialSample(names, self.ROWS, a, y)
+        assert [c.dtype for c in trial.columns] == [np.int8, object, np.float64, np.int16]
+        # the dict's own order does not matter, the covariates' order does
+        assert TargetSample(names, dict(reversed(columns.items()))) == TargetSample(names, self.ROWS)
+
+    def test_arrays_are_copied_and_typed(self):
+        x = np.array([0, 1, 1], np.int64)
+        target = TargetSample(("x",), {"x": x})
+        x[0] = 5
+        assert target.columns[0].dtype == np.int8 and target.columns[0].tolist() == [0, 1, 1]
+        assert not target.columns[0].flags.writeable
+
+    @pytest.mark.parametrize(
+        "columns",
+        [{"x": [0, 1]}, {"x": [0, 1], "z": [1, 0], "w": [0, 0]}, {"x": [0, 1], "w": [1, 0]}],
+        ids=["missing", "extra", "renamed"],
+    )
+    def test_keys_that_differ_from_the_covariates(self, columns):
+        with pytest.raises(InvariantViolation, match="differ from"):
+            TrialSample(("x", "z"), columns, (0, 1), (0.0, 1.0))
+        with pytest.raises(InvariantViolation, match="differ from"):
+            TargetSample(("x", "z"), columns)
+
+    def test_columns_of_unequal_length(self):
+        with pytest.raises(InvariantViolation, match="differ in length"):
+            TargetSample(("x", "z"), {"x": [0, 1], "z": [1, 0, 1]})
+        with pytest.raises(InvariantViolation, match="differ in length"):
+            TrialSample(("x", "z"), {"x": np.zeros(3), "z": np.zeros(2)}, (0, 1, 0), (0.0,) * 3)
+
+    @pytest.mark.parametrize(
+        "column",
+        [np.zeros((2, 2)), np.zeros((2, 1)), np.int64(1), 1, "ab", np.array(0.5), (v for v in (0, 1))],
+        ids=["2-D", "2-D-one-wide", "numpy-scalar", "int", "str", "0-D", "generator"],
+    )
+    def test_columns_that_are_not_1_d(self, column):
+        """Each value must be a list, a tuple or 1-D: a 2-D array of the
+        right length is refused, not stored as one column, and so is a
+        scalar, a string or a generator."""
+        with pytest.raises(InvariantViolation, match="must be 1-D"):
+            TargetSample(("x", "z"), {"x": [0, 1], "z": column})
+        with pytest.raises(InvariantViolation, match="must be 1-D"):
+            TrialSample(("z", "x"), {"x": [0, 1], "z": column}, (0, 1), (0.0, 1.0))
+
+    def test_columns_of_no_rows(self):
+        with pytest.raises(InvariantViolation, match="at least one row"):
+            TargetSample(("x",), {"x": []})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_in_a_column(self, bad):
+        with pytest.raises(InvariantViolation, match="covariate 'u' must be finite"):
+            TargetSample(("x", "u"), {"x": [0, 1], "u": np.array([0.5, bad])})
+        with pytest.raises(InvariantViolation, match="covariate 'u' must be finite"):
+            TargetSample(("x", "u"), {"x": [0, 1], "u": ["f", bad]})
+
+    @pytest.mark.parametrize(
+        "columns, dtype, rows",
+        [
+            ({"i": [0, 1], "j": [300, -2]}, np.int64, [[0, 300], [1, -2]]),
+            ({"i": np.array([2**40, 0]), "j": [1, 0]}, np.int64, [[2**40, 1], [0, 0]]),
+            ({"u": [0.5, 1.0], "v": np.array([2.0, 3.0])}, np.float64, [[0.5, 2.0], [1.0, 3.0]]),
+            ({"i": [1, 2], "u": [0.5, 1.5]}, object, [[1, 0.5], [2, 1.5]]),
+            ({"i": [1, 2], "tag": ["a", "b"]}, object, [[1, "a"], [2, "b"]]),
+            ({"i": [1, 2], "u": [0.5, 1.5], "tag": ["a", 3]}, object, [[1, 0.5, "a"], [2, 1.5, 3]]),
+        ],
+    )
+    def test_rows_are_int64_float64_or_objects(self, columns, dtype, rows):
+        """int64 rows where every column holds integers, float64 where every
+        column holds floats, else objects holding each column's own values
+        (Python ints for integer columns, whatever their type)."""
+        target = TargetSample(tuple(columns), columns)
+        x = target.x
+        assert x.dtype == dtype and x.shape == (2, len(columns)) and x.tolist() == rows
+        assert [type(v) for v in x[0].tolist()] == [type(v) for v in rows[0]]
+        assert TargetSample(target.covariates, x) == target
+
+    def test_a_trial_is_never_equal_to_a_target(self):
+        """Samples of the two types do not compare: each ``__eq__`` defers,
+        and the pair falls back to identity."""
+        trial = TrialSample(("x",), {"x": [0, 1]}, (0, 1), (0.0, 1.0))
+        target = TargetSample(("x",), {"x": [0, 1]})
+        assert trial.__eq__(target) is NotImplemented
+        assert target.__eq__(trial) is NotImplemented
+        assert trial != target and not (target == trial)
